@@ -8,12 +8,12 @@ analysis of 0-1 graphons, plus generators for the standard examples.
 from .core import (Bigraph, Graph, Partition, StepBigraphon, StepGraphon,
                    StepKernel, aggregate, as_bigraphon, bigraphon_from_bigraph,
                    blow_up, cut_norm, difference, graphon_from_graph, l1_norm,
-                   operator_product, split_step, square)
+                   operator_product, rectangle_max, split_step, square)
 from .densities import (bigraph_density, density, induced_density,
                         partial_bigraph_density, partial_density)
 from .errors import (BasisMismatchError, CertificationError, GraphonError,
                      HypothesisError, InvalidInputError, SizeLimitError)
-from .metrics import (MetricView, average_net, bigraphon_metrics,
+from .metrics import (MetricView, average_net, bigraphon_metrics, greedy_packing,
                       neighborhood_distance, neighborhood_metric, packing_number,
                       packing_dimension_estimate, purify, similarity_metric,
                       voronoi_partition)

@@ -250,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thin mode: also emit the blow-up edit approximation")
     p.add_argument("--szemeredi", action="store_true",
                    help="also fill the exact Szemeredi error (k <= 20)")
-    p.add_argument("--exact", action="store_true", default=False)
     p.add_argument("--heuristic", action="store_true", default=False)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("metrics", help="neighborhood / similarity distance matrix")
     p.add_argument("graphon")
-    p.add_argument("--neighborhood", action="store_true")
     p.add_argument("--similarity", action="store_true")
     p.add_argument("--packing", metavar="EPS,EPS,...",
                    help="emit the packing table and dimension slope instead")

@@ -163,9 +163,21 @@ def purify(w: StepGraphon, tol: float = TWIN_TOL) -> tuple[StepGraphon, list[int
     return StepGraphon(mu, np.clip(vals, 0.0, 1.0)), mapping
 
 
-def _most_peripheral(m: MetricView) -> int:
-    # deterministic seed for greedy traversals: measure-weighted farthest point
-    return int(np.argmax(m.dist @ m.mu))
+def greedy_packing(m: MetricView, eps: float) -> list[int]:
+    """Maximal eps-packing by farthest-point insertion.
+
+    Starts at the measure-weighted farthest point and adds the point
+    farthest from the chosen ones (ties to the lowest index) until every
+    point lies within < eps of one; the result is also an eps-cover.
+    """
+    chosen = [int(np.argmax(m.dist @ m.mu))]
+    mind = m.dist[chosen[0]].copy()
+    while True:
+        i = int(np.argmax(mind))
+        if mind[i] < eps:
+            return chosen
+        chosen.append(i)
+        mind = np.minimum(mind, m.dist[i])
 
 
 def packing_number(m: MetricView, eps: float, mode: str = "exact") -> int:
@@ -178,7 +190,7 @@ def packing_number(m: MetricView, eps: float, mode: str = "exact") -> int:
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     if mode == "greedy":
-        return len(_greedy_packing(m, eps))
+        return len(greedy_packing(m, eps))
     if mode != "exact":
         raise InvalidInputError(f"unknown packing mode {mode!r}")
     if m.k > PACKING_MAX_POINTS:
@@ -198,17 +210,6 @@ def packing_number(m: MetricView, eps: float, mode: str = "exact") -> int:
 
     expand(0, order)
     return best
-
-
-def _greedy_packing(m: MetricView, eps: float) -> list[int]:
-    chosen = [_most_peripheral(m)]
-    mind = m.dist[chosen[0]].copy()
-    while True:
-        i = int(np.argmax(mind))
-        if mind[i] < eps:
-            return chosen
-        chosen.append(i)
-        mind = np.minimum(mind, m.dist[i])
 
 
 def packing_dimension_estimate(m: MetricView, eps_grid, mode: str = "exact"):

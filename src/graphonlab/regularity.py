@@ -20,12 +20,13 @@ import numpy as np
 
 from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
-                   l1_norm)
+                   l1_norm, rectangle_max)
 from .densities import bigraph_density
 from .errors import (CertificationError, HypothesisError, InvalidInputError,
                      SizeLimitError)
-from .metrics import MetricView, average_net, neighborhood_metric, similarity_metric, \
-    voronoi_partition
+from .metrics import (average_net, greedy_packing, neighborhood_metric, similarity_metric,
+                      voronoi_partition)
+from .setsystems import sauer_shelah_bound
 
 SZEMEREDI_MAX_STEPS = 20
 MAX_CLASSES = 1_000_000
@@ -118,28 +119,16 @@ def weak_partition_via_net(w: StepGraphon, eps_net: float,
     )
 
 
-def _one_sided_rectangle_max(a: np.ndarray) -> float:
-    """max over S subseteq rows, T subseteq cols of sum_{S x T} a (>= 0)."""
-    rows = a.shape[0]
-    total = 1 << rows
-    chunk = 1 << min(16, rows)
-    shifts = np.arange(rows, dtype=np.int64)
-    best = 0.0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        members = ((idx[:, None] >> shifts) & 1).astype(float)
-        cols = members @ a
-        best = max(best, float(np.maximum(cols, 0.0).sum(axis=1).max()))
-    return best
-
-
 def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     """Exact supremum of |<W - W_P, H>| over 0-1 H supported on one product
     set per (ordered) class pair.
 
     By linearity the supremum splits into per-block one-sided optima: take
     every block's best positive rectangle (or leave it empty), and
-    likewise for the negative sign; the result is the larger total.
+    likewise for the negative sign; the result is the larger total. One
+    ``rectangle_max`` call per block gives both signs, exactly, in
+    O(2^k k) time and bounded working memory; blocks of W - W_P that are
+    identically 0 (e.g. singleton classes) cost nothing.
     """
     check_basis(p, w)
     if w.k > SZEMEREDI_MAX_STEPS:
@@ -150,9 +139,9 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     pos = neg = 0.0
     for si in cls:
         for sj in cls:
-            block = a[np.ix_(si, sj)]
-            pos += _one_sided_rectangle_max(block)
-            neg += _one_sided_rectangle_max(-block)
+            block_pos, block_neg = rectangle_max(a[np.ix_(si, sj)])
+            pos += block_pos
+            neg += block_neg
     return max(pos, neg)
 
 
@@ -184,22 +173,6 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     return centers, cost
 
 
-def _ball_cover(metric: MetricView, radius: float) -> tuple[list[int], Partition]:
-    """Maximal radius-separated centers (greedy farthest point) and the
-    partition into their Voronoi cells; every point is within < radius of
-    its center."""
-    start = int(np.argmax(metric.dist @ metric.mu))
-    centers = [start]
-    mind = metric.dist[start].copy()
-    while True:
-        i = int(np.argmax(mind))
-        if mind[i] < radius:
-            break
-        centers.append(i)
-        mind = np.minimum(mind, metric.dist[i])
-    return centers, voronoi_partition(metric, centers)
-
-
 def ultra_strong_partition(w: StepGraphon, eps: float,
                            cut_mode: str = "auto") -> PartitionReport:
     """Ultra-strong (L1) regularity partition with error eps.
@@ -215,7 +188,8 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
     if w.k > MAX_CLASSES:
         raise SizeLimitError("too many steps for the class-count guard")
     rw = neighborhood_metric(w)
-    centers, cover = _ball_cover(rw, eps / 4.0)
+    centers = greedy_packing(rw, eps / 4.0)
+    cover = voronoi_partition(rw, centers)
     m = len(centers)
     nbands = math.ceil(1.0 / eps)
     bands = np.minimum((w.w[centers] / eps).astype(int), nbands - 1)
@@ -240,10 +214,6 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
     return report
 
 
-def _sauer_sum(m: int, kmax_exclusive: int) -> int:
-    return sum(math.comb(m, i) for i in range(0, min(kmax_exclusive, m + 1)))
-
-
 def thin_ultra_partition(w: StepGraphon, f, eps: float,
                          cut_mode: str = "auto") -> PartitionReport:
     """Ultra-strong partition of a 0-1 graphon excluding the bigraph f.
@@ -263,7 +233,8 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
         raise HypothesisError(
             f"pattern is not excluded: t^b_ind = {excluded:.6g} > 0")
     rw = neighborhood_metric(w)
-    centers, cover = _ball_cover(rw, eps / 4.0)
+    centers = greedy_packing(rw, eps / 4.0)
+    cover = voronoi_partition(rw, centers)
     m = len(centers)
     supports = w.w[centers] == 1.0
     atoms = set()
@@ -275,8 +246,7 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
         key = (cover.assign[z], sig)
         assign.append(keys.setdefault(key, len(keys)))
     part = Partition(w.mu, assign, len(keys))
-    n_nodes = f.n1 + f.n2
-    bound = _sauer_sum(m, n_nodes)
+    bound = sauer_shelah_bound(m, f.n1 + f.n2 - 1)
     if len(atoms) > bound:
         raise CertificationError(
             f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")

@@ -60,6 +60,42 @@ def brute_cut_norm(kernel):
     return float(np.max(np.abs(vals)))
 
 
+def reference_rectangle_max(a):
+    """The subset enumeration ``rectangle_max`` replaced: a 2^k x k
+    membership matrix times ``a`` per chunk of row subsets, then the best
+    column set per sign. Returns (positive, negative) rectangle maxima."""
+    rows = a.shape[0]
+    total = 1 << rows
+    chunk = 1 << min(16, rows)
+    shifts = np.arange(rows, dtype=np.int64)
+    pos = neg = 0.0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        members = ((idx[:, None] >> shifts) & 1).astype(float)
+        cols = members @ a
+        pos = max(pos, float(np.maximum(cols, 0.0).sum(axis=1).max()))
+        neg = max(neg, float(np.maximum(-cols, 0.0).sum(axis=1).max()))
+    return pos, neg
+
+
+def brute_szemeredi_error(w, p):
+    """Every S x T inside every ordered class-pair block, both sides
+    enumerated; the per-block optima add up per sign."""
+    a = w.mu[:, None] * w.mu[None, :] * (w.w - gl.aggregate(w, p).w)
+
+    def subsets(n):
+        return np.array([[(s >> i) & 1 for i in range(n)] for s in range(1 << n)],
+                        dtype=float)
+
+    pos = neg = 0.0
+    for si in p.classes():
+        for sj in p.classes():
+            vals = subsets(len(si)) @ a[np.ix_(si, sj)] @ subsets(len(sj)).T
+            pos += float(vals.max())
+            neg += float(-vals.min())
+    return max(pos, neg)
+
+
 def brute_density(f, w, induced=False):
     """Loop over all assignments of pattern nodes to steps."""
     total = 0.0

@@ -46,6 +46,15 @@ def test_density_missing_file_exit_2(workdir):
     assert "nope.graphon" in err
 
 
+def test_density_nan_bigraphon_exit_2(workdir):
+    (workdir / "nan.bigraphon").write_text(
+        '{"k1": 2, "k2": 1, "mu1": [0.5, 0.5], "mu2": [1.0], "w": [[NaN], [0.5]]}\n')
+    code, out, err = run_cli("density", "--bigraphon", workdir / "nan.bigraphon",
+                             "--pattern", workdir / "2matching.bigraph")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_density_bigraph_pattern(workdir):
     code, out, _ = run_cli("density", "--graphon", workdir / "half8.graphon",
                            "--pattern", workdir / "2matching.bigraph")

@@ -4,7 +4,7 @@ import pytest
 import graphonlab as gl
 from graphonlab.core import operator_product_values
 
-from conftest import brute_cut_norm, random_partition, rng
+from conftest import brute_cut_norm, random_partition, reference_rectangle_max, rng
 
 
 def test_graphon_from_graph_k2(k2_graphon):
@@ -52,6 +52,30 @@ def test_kernel_validation():
         gl.StepGraphon(np.array([1.0, 0.0]), np.zeros((2, 2)))
     with pytest.raises(gl.InvalidInputError):
         gl.StepGraphon(np.array([1.0]), np.array([[1.5]]))
+
+
+def test_kernel_rejects_non_finite():
+    for mu, w in [([np.nan, 0.5], [[0.0, 1.0], [1.0, 0.0]]),
+                  ([0.5, 0.5], [[0.0, np.nan], [np.nan, 0.0]]),
+                  ([0.5, 0.5], [[np.inf, 0.0], [0.0, 0.0]])]:
+        with pytest.raises(gl.InvalidInputError, match="finite"):
+            gl.StepGraphon(np.array(mu), np.array(w))
+        with pytest.raises(gl.InvalidInputError, match="finite"):
+            gl.StepKernel(np.array(mu), np.array(w))
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.Partition([np.nan, 0.5], [0, 1])
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.SetFamily(2, [[0]], weights=[np.inf, 0.0])
+
+
+def test_bigraphon_rejects_non_finite():
+    good = np.array([0.5, 0.5])
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.StepBigraphon(good, np.array([1.0]), np.array([[np.nan], [0.5]]))
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.StepBigraphon(np.array([np.nan, 0.5]), np.array([1.0]), np.zeros((2, 1)))
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.StepBigraphon(good, np.array([np.inf]), np.zeros((2, 1)))
 
 
 def test_values_immutable(k2_graphon):
@@ -109,6 +133,45 @@ def test_cut_norm_matches_brute_force():
         k = 2 + seed % 7
         kern = gl.zoo.random_kernel(k, seed=seed)
         assert abs(gl.cut_norm(kern) - brute_cut_norm(kern)) <= 1e-12
+
+
+def _assert_rectangle_max_matches(a):
+    pos, neg = gl.rectangle_max(a)
+    ref_pos, ref_neg = reference_rectangle_max(a)
+    assert abs(pos - ref_pos) <= 1e-12 and abs(neg - ref_neg) <= 1e-12
+    flipped = gl.rectangle_max(-a)
+    assert abs(flipped[0] - neg) <= 1e-12 and abs(flipped[1] - pos) <= 1e-12
+
+
+def test_rectangle_max_matches_reference_square():
+    # k up to 18 runs the block sweep several times; odd k splits unevenly
+    r = rng(11)
+    for k in range(1, 19):
+        a = r.standard_normal((k, k)) / k
+        _assert_rectangle_max_matches(a + a.T)
+        # the optimum of a nonnegative matrix is every row, in the last block
+        pos, neg = gl.rectangle_max(np.abs(a))
+        assert abs(pos - np.abs(a).sum()) <= 1e-12 and neg <= 1e-12
+
+
+def test_rectangle_max_matches_reference_rectangular():
+    r = rng(12)
+    for k1, k2 in [(1, 5), (5, 1), (2, 7), (7, 3), (4, 9), (11, 6), (13, 2), (3, 14)]:
+        _assert_rectangle_max_matches(r.standard_normal((k1, k2)))
+
+
+def test_rectangle_max_zero_rows_and_columns():
+    assert gl.rectangle_max(np.zeros((6, 6))) == (0.0, 0.0)
+    assert gl.rectangle_max(np.zeros((3, 5))) == (0.0, 0.0)
+    r = rng(13)
+    for seed in range(6):
+        a = r.standard_normal((9, 7))
+        a[r.random(9) < 0.4] = 0.0
+        a[:, r.random(7) < 0.4] = 0.0
+        _assert_rectangle_max_matches(a)
+    single = np.zeros((8, 8))
+    single[3, 5] = -0.25
+    assert gl.rectangle_max(single) == (0.0, 0.25)
 
 
 def test_cut_norm_heuristic_lower_bound():

@@ -69,6 +69,15 @@ def test_metric_view_validation():
                       np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]]))
 
 
+def test_metric_view_rejects_non_finite():
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.MetricView(np.array([0.5, 0.5]), np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.MetricView(np.array([0.5, 0.5]), np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(gl.InvalidInputError, match="finite"):
+        gl.MetricView(np.array([np.nan, 0.5]), np.zeros((2, 2)))
+
+
 def test_purify_examples(k2_graphon):
     twin = gl.StepGraphon(np.array([0.5, 0.5]), np.full((2, 2), 0.3))
     merged, mapping = gl.purify(twin)
@@ -93,6 +102,8 @@ def test_packing_number_examples(k2_graphon):
     nm = gl.neighborhood_metric(k2_graphon)
     assert gl.packing_number(nm, 0.5) == 2
     assert gl.packing_number(nm, 1.1) == 1
+    # points exactly eps apart are separated: the greedy sweep stops below eps
+    assert gl.greedy_packing(nm, 1.0) == [0, 1]
     const = gl.neighborhood_metric(gl.StepGraphon(np.array([0.5, 0.5]), np.full((2, 2), 0.2)))
     assert gl.packing_number(const, 0.01) == 1
 

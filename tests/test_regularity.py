@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import graphonlab as gl
 
-from conftest import brute_cut_norm, random_partition, rng
+from conftest import brute_cut_norm, brute_szemeredi_error, random_partition, rng
 
 
 def test_weak_partition_constant():
@@ -64,6 +66,13 @@ def test_szemeredi_error_dominates_cut_error():
         assert sz >= gl.partition_cut_error(w, p) - 1e-12
 
 
+def test_szemeredi_error_matches_brute_force():
+    for seed in range(40):
+        w = gl.zoo.random_stepfunction(1 + seed % 7, seed=700 + seed)
+        p = random_partition(w.mu, 1 + seed % 4, seed)
+        assert abs(gl.szemeredi_error(w, p) - brute_szemeredi_error(w, p)) <= 1e-12
+
+
 def test_szemeredi_error_size_guard():
     w = gl.zoo.random_stepfunction(21, seed=1)
     with pytest.raises(gl.SizeLimitError):
@@ -113,6 +122,16 @@ def test_ultra_strong_random_corpus():
             assert rep.certified("l1")
 
 
+def test_ball_cover_is_the_greedy_packing():
+    # both ultra-strong variants cover by the farthest-point eps/4 packing
+    m2 = gl.Bigraph(2, 2, [(0, 0), (1, 1)])
+    for n in (5, 8, 11):
+        w = gl.zoo.half_graphon(n)
+        expected = gl.greedy_packing(gl.neighborhood_metric(w), 0.25 / 4.0)
+        assert gl.ultra_strong_partition(w, 0.25).centers == expected
+        assert gl.thin_ultra_partition(w, m2, 0.25).centers == expected
+
+
 def test_ultra_strong_eps_validation(k2_graphon):
     with pytest.raises(gl.InvalidInputError):
         gl.ultra_strong_partition(k2_graphon, 0.0)
@@ -127,6 +146,8 @@ def test_thin_ultra_half_graphon():
     assert rep.l1_error <= 0.25
     assert rep.atom_count is not None
     assert rep.atom_count <= rep.sauer_bound
+    m = len(rep.centers)
+    assert rep.sauer_bound == sum(math.comb(m, i) for i in range(min(4, m + 1)))
 
 
 def test_thin_ultra_zero_graphon():
