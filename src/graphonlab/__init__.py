@@ -16,7 +16,7 @@ from .errors import (BasisMismatchError, CertificationError, GraphonError,
 from .metrics import (MetricView, average_net, bigraphon_metrics, greedy_packing,
                       neighborhood_distance, neighborhood_metric, packing_number,
                       packing_dimension_estimate, purify, similarity_metric,
-                      voronoi_partition)
+                      triangle_violation, voronoi_partition)
 from .regularity import (BlowupApprox, PartitionReport, edit_blowup_approx,
                          equalize, net_from_partition, partition_cut_error,
                          szemeredi_error, thin_ultra_partition,

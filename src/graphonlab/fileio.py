@@ -53,6 +53,18 @@ def _load_json(path) -> dict:
         raise InvalidInputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
 
 
+def _number_array(path, key: str, value) -> np.ndarray:
+    """``value`` as a float array; ragged or non-numeric input is an input
+    error, not a numpy exception."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{path}: {key} must be a rectangular array of numbers")
+    return arr.astype(float)
+
+
 def write_text(path, text: str) -> None:
     Path(path).write_text(text)
 
@@ -71,11 +83,12 @@ def load_graphon(path) -> StepGraphon:
     d = _load_json(path)
     try:
         k, mu, w = int(d["k"]), d["mu"], d["w"]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
         raise InvalidInputError(f"{path}: expected keys k, mu, w")
-    if len(mu) != k:
-        raise InvalidInputError(f"{path}: mu has {len(mu)} entries, k={k}")
-    return StepGraphon(np.array(mu, dtype=float), np.array(w, dtype=float))
+    mu = _number_array(path, "mu", mu)
+    if mu.size != k:
+        raise InvalidInputError(f"{path}: mu has {mu.size} entries, k={k}")
+    return StepGraphon(mu, _number_array(path, "w", w))
 
 
 def bigraphon_to_json(w: StepBigraphon) -> str:
@@ -93,8 +106,8 @@ def load_bigraphon(path) -> StepBigraphon:
         mu1, mu2, w = d["mu1"], d["mu2"], d["w"]
     except (KeyError, TypeError):
         raise InvalidInputError(f"{path}: expected keys k1, k2, mu1, mu2, w")
-    return StepBigraphon(np.array(mu1, dtype=float), np.array(mu2, dtype=float),
-                         np.array(w, dtype=float))
+    return StepBigraphon(_number_array(path, "mu1", mu1), _number_array(path, "mu2", mu2),
+                         _number_array(path, "w", w))
 
 
 # -- graphs -----------------------------------------------------------------
@@ -210,4 +223,4 @@ def load_family(path) -> SetFamily:
     except (KeyError, TypeError):
         raise InvalidInputError(f"{path}: expected keys m, weights, sets")
     weights = d.get("weights")
-    return SetFamily(m, sets, None if weights is None else np.array(weights, dtype=float))
+    return SetFamily(m, sets, None if weights is None else _number_array(path, "weights", weights))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MEASURE_TOL, Partition, StepBigraphon, StepGraphon, _frozen_array, square
+from .core import (MEASURE_TOL, Partition, StepBigraphon, StepGraphon, _frozen_array, aggregate,
+                   square)
 from .errors import InvalidInputError, SizeLimitError
 
 #: twins are merged below this neighborhood distance
@@ -62,7 +63,7 @@ class MetricView:
         return self.mu.size
 
     def assert_metric(self, tol: float = 1e-9) -> None:
-        worst = _triangle_violation(self.dist)
+        worst = triangle_violation(self.dist)
         if worst > tol:
             raise InvalidInputError(f"triangle inequality violated by {worst:.3g}")
 
@@ -73,8 +74,9 @@ class MetricView:
         return "\n".join(lines) + "\n"
 
 
-def _triangle_violation(d: np.ndarray) -> float:
-    """Largest d(i,j) - min_z (d(i,z) + d(z,j)); O(k^2) memory."""
+def triangle_violation(d: np.ndarray) -> float:
+    """Largest d(i,j) - min_z (d(i,z) + d(z,j)), at least 0; O(k^3) time
+    and O(k^2) memory."""
     worst = 0.0
     for i in range(d.shape[0]):
         best_detour = np.min(d[i][:, None] + d, axis=0)
@@ -83,7 +85,12 @@ def _triangle_violation(d: np.ndarray) -> float:
 
 
 def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """All pairwise weighted L1 distances between rows of ``values``."""
+    """All pairwise weighted L1 distances between rows of ``values``.
+
+    Exactly symmetric with a zero diagonal. A k x m real input costs
+    O(k^2 m) time in O(k m) working memory: row i is swept against the
+    rows after it, and the upper triangle is mirrored.
+    """
     n = values.shape[0]
     if np.all((values == 0.0) | (values == 1.0)):
         # |a-b| = a + b - 2ab for 0-1 entries; one BLAS product instead of
@@ -94,14 +101,10 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         d = np.maximum((d + d.T) / 2.0, 0.0)
         np.fill_diagonal(d, 0.0)
         return d
-    d = np.empty((n, n))
-    block = max(1, int(4e7 // max(values.size, 1)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d[start:stop] = np.abs(values[start:stop, None, :] - values[None, :, :]) @ weights
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    return d
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1:] = np.abs(values[i + 1:] - values[i]) @ weights
+    return d + d.T
 
 
 def neighborhood_metric(w: StepGraphon) -> MetricView:
@@ -129,38 +132,30 @@ def similarity_metric(w: StepGraphon) -> MetricView:
 def purify(w: StepGraphon, tol: float = TWIN_TOL) -> tuple[StepGraphon, list[int]]:
     """Merge twin steps (neighborhood distance <= tol).
 
-    Measures of merged steps are added and their values averaged by
-    measure; the returned mapping sends each old step to its new index.
-    The output has all pairwise r_W above tol.
+    Twins at tolerance form connected components, numbered by their
+    lowest step; the returned mapping sends each old step to its
+    component. Measures of merged steps are added and their values are
+    the measure-weighted block averages of ``aggregate`` on that
+    partition. The output has all pairwise r_W above tol.
     """
     d = _row_l1_matrix(w.w, w.mu)
-    mapping = [-1] * w.k
-    groups: list[list[int]] = []
+    mapping = np.full(w.k, -1)
+    roots: list[int] = []
     for i in range(w.k):
         if mapping[i] >= 0:
             continue
-        # twins at tolerance form a connected component; sweep the row
-        stack, comp = [i], []
-        mapping[i] = len(groups)
+        mapping[i] = len(roots)
+        stack = [i]
         while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in range(w.k):
-                if mapping[b] < 0 and d[a, b] <= tol:
-                    mapping[b] = len(groups)
-                    stack.append(b)
-        groups.append(sorted(comp))
-    g = len(groups)
-    if g == w.k:
+            near = np.flatnonzero((d[stack.pop()] <= tol) & (mapping < 0))
+            mapping[near] = mapping[i]
+            stack.extend(near.tolist())
+        roots.append(i)
+    if len(roots) == w.k:
         return w, list(range(w.k))
-    mu = np.array([w.mu[grp].sum() for grp in groups])
-    vals = np.zeros((g, g))
-    for a, ga in enumerate(groups):
-        for b, gb in enumerate(groups):
-            mass = np.outer(w.mu[ga], w.mu[gb])
-            vals[a, b] = float((mass * w.w[np.ix_(ga, gb)]).sum() / mass.sum())
-    vals = (vals + vals.T) / 2.0
-    return StepGraphon(mu, np.clip(vals, 0.0, 1.0)), mapping
+    part = Partition(w.mu, mapping, len(roots))
+    vals = aggregate(w, part).w[np.ix_(roots, roots)]
+    return StepGraphon(part.class_measures(), vals), mapping.tolist()
 
 
 def greedy_packing(m: MetricView, eps: float) -> list[int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, aggregate,
+from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, StepKernel, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
                    l1_norm, rectangle_max)
 from .densities import bigraph_density
@@ -84,10 +84,10 @@ class PartitionReport:
         return d
 
 
-def _measured_cut(w: StepGraphon, p: Partition, cut_mode: str = "auto") -> tuple[float, bool]:
-    r = difference(w, aggregate(w, p))
+def _measured_cut(r: StepKernel, cut_mode: str = "auto") -> tuple[float, bool]:
+    """Cut norm of the residual r = W - W_P, exact when k allows."""
     if cut_mode == "auto":
-        cut_mode = "exact" if w.k <= CUT_NORM_MAX_STEPS else "heuristic"
+        cut_mode = "exact" if r.k <= CUT_NORM_MAX_STEPS else "heuristic"
     return cut_norm(r, mode=cut_mode), cut_mode == "exact"
 
 
@@ -107,11 +107,12 @@ def weak_partition_via_net(w: StepGraphon, eps_net: float,
     sim = similarity_metric(w)
     centers, cost = average_net(sim, eps_net)
     part = voronoi_partition(sim, centers)
-    cut, exact = _measured_cut(w, part, cut_mode)
+    diff = difference(w, aggregate(w, part))
+    cut, exact = _measured_cut(diff, cut_mode)
     return PartitionReport(
         partition=part,
         cut_error=cut,
-        l1_error=l1_norm(difference(w, aggregate(w, part))),
+        l1_error=l1_norm(diff),
         centers=centers,
         net_cost=cost,
         certified_bound=8.0 * math.sqrt(cost),
@@ -200,7 +201,7 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
         assign.append(keys.setdefault(key, len(keys)))
     part = Partition(w.mu, assign, len(keys))
     diff = difference(w, aggregate(w, part))
-    cut, exact = _measured_cut(w, part, cut_mode)
+    cut, exact = _measured_cut(diff, cut_mode)
     report = PartitionReport(
         partition=part,
         cut_error=cut,
@@ -250,11 +251,12 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
     if len(atoms) > bound:
         raise CertificationError(
             f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")
-    cut, exact = _measured_cut(w, part, cut_mode)
+    diff = difference(w, aggregate(w, part))
+    cut, exact = _measured_cut(diff, cut_mode)
     report = PartitionReport(
         partition=part,
         cut_error=cut,
-        l1_error=l1_norm(difference(w, aggregate(w, part))),
+        l1_error=l1_norm(diff),
         centers=centers,
         certified_bound=eps,
         exact=exact,

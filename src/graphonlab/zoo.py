@@ -10,6 +10,7 @@ import numpy as np
 
 from .core import StepBigraphon, StepGraphon
 from .errors import InvalidInputError, SizeLimitError
+from .metrics import triangle_violation
 
 MAX_BINARY_DEPTH = 12
 
@@ -53,9 +54,7 @@ def metric_graphon(dist, mu=None) -> StepGraphon:
         raise InvalidInputError("need a symmetric nonnegative matrix with zero diagonal")
     if np.any(dist > 1.0):
         raise InvalidInputError("metric diameter must be at most 1")
-    from .metrics import _triangle_violation
-
-    worst = _triangle_violation(dist)
+    worst = triangle_violation(dist)
     if worst > 1e-9:
         raise InvalidInputError(f"triangle inequality violated by {worst:.3g}")
     return StepGraphon(mu, dist)

@@ -78,6 +78,46 @@ def reference_rectangle_max(a):
     return pos, neg
 
 
+def reference_row_l1(values, weights):
+    """The broadcast formula the row sweep replaced: |row_i - row_j| for
+    every ordered pair, weighted, then symmetrised with a zero diagonal."""
+    d = np.abs(values[:, None, :] - values[None, :, :]) @ weights
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def reference_purify(w, tol=1e-9):
+    """The per-pair twin test and g^2 block loop that purify replaced:
+    grow each twin component from its lowest step, then average W over
+    every pair of groups by measure."""
+    d = reference_row_l1(w.w, w.mu)
+    mapping = [-1] * w.k
+    groups = []
+    for i in range(w.k):
+        if mapping[i] >= 0:
+            continue
+        stack, comp = [i], []
+        mapping[i] = len(groups)
+        while stack:
+            a = stack.pop()
+            comp.append(a)
+            for b in range(w.k):
+                if mapping[b] < 0 and d[a, b] <= tol:
+                    mapping[b] = len(groups)
+                    stack.append(b)
+        groups.append(sorted(comp))
+    g = len(groups)
+    mu = np.array([w.mu[grp].sum() for grp in groups])
+    vals = np.zeros((g, g))
+    for a, ga in enumerate(groups):
+        for b, gb in enumerate(groups):
+            mass = np.outer(w.mu[ga], w.mu[gb])
+            vals[a, b] = float((mass * w.w[np.ix_(ga, gb)]).sum() / mass.sum())
+    vals = (vals + vals.T) / 2.0
+    return mu, np.clip(vals, 0.0, 1.0), mapping
+
+
 def brute_szemeredi_error(w, p):
     """Every S x T inside every ordered class-pair block, both sides
     enumerated; the per-block optima add up per sign."""

@@ -55,6 +55,31 @@ def test_density_nan_bigraphon_exit_2(workdir):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"k": 2, "mu": [0.5, 0.5], "w": [[0.0, 1.0], [1.0]]}',
+    '{"k": 2, "mu": [0.5, 0.5], "w": [[0.0, "x"], ["x", 0.0]]}',
+    '{"k": 2, "mu": [0.5, "half"], "w": [[0.0, 1.0], [1.0, 0.0]]}',
+])
+def test_metrics_malformed_graphon_exit_2(workdir, doc):
+    (workdir / "bad.graphon").write_text(doc + "\n")
+    code, out, err = run_cli("metrics", workdir / "bad.graphon")
+    assert code == 2 and out == ""
+    assert "array of numbers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"k1": 2, "k2": 2, "mu1": [0.5, 0.5], "mu2": [0.5, 0.5], "w": [[1.0, 0.0], [0.0]]}',
+    '{"k1": 2, "k2": 2, "mu1": [0.5, 0.5], "mu2": [0.5, 0.5], "w": [[1.0, "a"], [0.0, 1.0]]}',
+    '{"k1": 2, "k2": 1, "mu1": [0.5, 0.5], "mu2": ["1"], "w": [[1.0], [0.0]]}',
+])
+def test_density_malformed_bigraphon_exit_2(workdir, doc):
+    (workdir / "bad.bigraphon").write_text(doc + "\n")
+    code, out, err = run_cli("density", "--bigraphon", workdir / "bad.bigraphon",
+                             "--pattern", workdir / "2matching.bigraph")
+    assert code == 2 and out == ""
+    assert "array of numbers" in err and "Traceback" not in err
+
+
 def test_density_bigraph_pattern(workdir):
     code, out, _ = run_cli("density", "--graphon", workdir / "half8.graphon",
                            "--pattern", workdir / "2matching.bigraph")

@@ -46,6 +46,22 @@ def test_bigraphon_round_trip(tmp_path):
     assert np.array_equal(back.mu2, b.mu2)
 
 
+@pytest.mark.parametrize("loader,doc", [
+    (fileio.load_graphon, {"k": 2, "mu": [0.5, 0.5], "w": [[0.0, 1.0], [1.0]]}),
+    (fileio.load_graphon, {"k": 1, "mu": [1.0], "w": [["0.5"]]}),
+    (fileio.load_graphon, {"k": 1, "mu": [None], "w": [[0.5]]}),
+    (fileio.load_graphon, {"k": "one", "mu": [1.0], "w": [[0.5]]}),
+    (fileio.load_bigraphon, {"mu1": [1.0], "mu2": [[0.5], [0.5, 0.0]], "w": [[0.5, 0.5]]}),
+    (fileio.load_bigraphon, {"mu1": [1.0], "mu2": [1.0], "w": [[True]]}),
+    (fileio.load_family, {"m": 2, "weights": [0.5, "x"], "sets": [[0], [1]]}),
+])
+def test_malformed_arrays_are_input_errors(tmp_path, loader, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(gl.InvalidInputError):
+        loader(path)
+
+
 def test_graph_round_trip(tmp_path):
     g = gl.Graph(5, [(0, 1), (2, 4), (1, 3)])
     path = tmp_path / "g.graph"

@@ -3,7 +3,10 @@ import pytest
 
 import graphonlab as gl
 
-from conftest import brute_packing, random_bigraphon, rng
+from graphonlab.metrics import _row_l1_matrix
+
+from conftest import (brute_packing, random_bigraphon, reference_purify, reference_row_l1,
+                      rng)
 
 
 def test_neighborhood_metric_examples(k2_graphon):
@@ -20,6 +23,42 @@ def test_neighborhood_metric_zero_one_fast_path_agrees():
     fast = gl.neighborhood_metric(w).dist
     slow = np.abs(w.w[:, None, :] - w.w[None, :, :]) @ w.mu
     assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def _assert_row_l1(d, values, weights):
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.max(np.abs(d - reference_row_l1(values, weights))) <= 1e-12
+
+
+def test_row_l1_matrix_matches_reference():
+    for k in (1, 2, 3, 7, 40):
+        w = gl.zoo.random_stepfunction(k, seed=70 + k)
+        _assert_row_l1(_row_l1_matrix(w.w, w.mu), w.w, w.mu)
+        b = gl.zoo.random_stepfunction(k, seed=90 + k, zero_one=True)
+        _assert_row_l1(_row_l1_matrix(b.w, b.mu), b.w, b.mu)
+    # rows of zeros and ones mixed with one fraction take the real sweep
+    mixed = gl.zoo.random_stepfunction(12, seed=5, zero_one=True).w.copy()
+    mixed[3, 7] = mixed[7, 3] = 0.5
+    mu = np.full(12, 1 / 12)
+    _assert_row_l1(_row_l1_matrix(mixed, mu), mixed, mu)
+
+
+def test_row_l1_matrix_rectangular_via_bigraphon_metrics():
+    for k1, k2 in ((1, 1), (1, 5), (2, 1), (2, 9), (7, 3), (30, 11)):
+        b = random_bigraphon(k1, k2, seed=k1 * 31 + k2)
+        zero_one = gl.StepBigraphon(b.mu1, b.mu2, (b.w > 0.5).astype(float))
+        for host in (b, zero_one):
+            r1, r2 = gl.bigraphon_metrics(host)
+            _assert_row_l1(r1.dist, host.w, host.mu2)
+            _assert_row_l1(r2.dist, host.w.T, host.mu1)
+
+
+def test_triangle_violation_value():
+    d = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    assert abs(gl.triangle_violation(d) - 0.8) <= 1e-15
+    assert gl.triangle_violation(gl.neighborhood_metric(
+        gl.zoo.random_stepfunction(9, seed=2)).dist) <= 1e-12
 
 
 def test_bigraphon_metrics_examples():
@@ -96,6 +135,37 @@ def test_purify_preserves_densities():
     assert np.all(off > 1e-9)
     for f in (gl.Graph(2, [(0, 1)]), gl.Graph(3, [(0, 1), (1, 2)]), gl.Graph.complete(3)):
         assert abs(gl.density(f, pure) - gl.density(f, w)) <= 1e-9
+
+
+def _assert_purify_matches_reference(w):
+    pure, mapping = gl.purify(w)
+    mu, vals, ref_mapping = reference_purify(w)
+    assert mapping == ref_mapping
+    assert np.max(np.abs(pure.mu - mu)) <= 1e-12
+    assert np.max(np.abs(pure.w - vals)) <= 1e-12
+    return pure
+
+
+def test_purify_matches_reference_on_split_hosts():
+    for seed in range(6):
+        w = gl.zoo.random_stepfunction(5 + seed, seed=800 + seed)
+        split = gl.split_step(gl.split_step(gl.split_step(w, 0, 2), 3, 3), w.k + 2, 2)
+        pure = _assert_purify_matches_reference(split)
+        assert pure.k == w.k
+    # twin groups of 1, 2 and 3 steps, with unequal measures
+    w = gl.zoo.random_stepfunction(4, seed=3)
+    split = gl.split_step(gl.split_step(w, 1, 3), 0, 2)
+    _assert_purify_matches_reference(split)
+
+
+def test_purify_matches_reference_on_sphere_with_duplicates():
+    _, pts = gl.zoo.sphere_graphon(2, 30, seed=9)
+    idx = [0, 0, 1, 2, 2, 2, 3] + list(range(4, 30)) + [29, 17]
+    dup = pts[idx]
+    adj = (dup @ dup.T >= 0.0).astype(float)
+    w = gl.StepGraphon(np.full(len(idx), 1 / len(idx)), np.maximum(adj, adj.T))
+    pure = _assert_purify_matches_reference(w)
+    assert pure.k <= 30
 
 
 def test_packing_number_examples(k2_graphon):
