@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these to exit codes: invalid input / parse problems -> 2,
-failed hypothesis checks -> 3, size guards -> 4.
+The CLI maps these to exit codes: a violated certificate -> 1, invalid
+input / parse problems -> 2, failed hypothesis checks -> 3, size guards
+-> 4. Any other exception is an internal error -> 5.
 """
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, StepKernel, aggregate,
+from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
                    l1_norm, rectangle_max)
 from .densities import bigraph_density
@@ -31,6 +31,15 @@ from .setsystems import sauer_shelah_bound
 SZEMEREDI_MAX_STEPS = 20
 MAX_CLASSES = 1_000_000
 SLACK = 1e-9
+
+#: the error each partition variant certifies: the cut norm or the L1 norm
+CERTIFIED_ERROR = {"weak": "cut", "ultra": "l1", "thin": "l1"}
+
+
+def within_bound(value: float, bound: float | None) -> bool:
+    """The one certificate comparison: a measured value against its bound,
+    up to ``SLACK``; no bound always passes."""
+    return bound is None or value <= bound + SLACK
 
 
 @dataclass(frozen=True)
@@ -62,10 +71,8 @@ class PartitionReport:
         return self.partition.c
 
     def certified(self, measured: str = "cut") -> bool:
-        if self.certified_bound is None:
-            return True
         value = self.cut_error if measured == "cut" else self.l1_error
-        return value <= self.certified_bound + SLACK
+        return within_bound(value, self.certified_bound)
 
     def to_dict(self) -> dict:
         d = {
@@ -84,11 +91,20 @@ class PartitionReport:
         return d
 
 
-def _measured_cut(r: StepKernel, cut_mode: str = "auto") -> tuple[float, bool]:
-    """Cut norm of the residual r = W - W_P, exact when k allows."""
+def _measured_report(w: StepGraphon, part: Partition, cut_mode: str,
+                     check_l1: bool = False, **fields) -> PartitionReport:
+    """Report of ``part`` with the errors of W - W_P measured: the cut norm
+    (exact when k allows) and the L1 norm. With ``check_l1`` an L1 error
+    above the certified bound raises."""
+    diff = difference(w, aggregate(w, part))
     if cut_mode == "auto":
-        cut_mode = "exact" if r.k <= CUT_NORM_MAX_STEPS else "heuristic"
-    return cut_norm(r, mode=cut_mode), cut_mode == "exact"
+        cut_mode = "exact" if diff.k <= CUT_NORM_MAX_STEPS else "heuristic"
+    report = PartitionReport(partition=part, cut_error=cut_norm(diff, mode=cut_mode),
+                             l1_error=l1_norm(diff), exact=cut_mode == "exact", **fields)
+    if check_l1 and not report.certified("l1"):
+        raise CertificationError(f"L1 error {report.l1_error:.6g} exceeded the "
+                                 f"certified bound {report.certified_bound:.6g}")
+    return report
 
 
 def partition_cut_error(w: StepGraphon, p: Partition, mode: str = "exact") -> float:
@@ -107,17 +123,8 @@ def weak_partition_via_net(w: StepGraphon, eps_net: float,
     sim = similarity_metric(w)
     centers, cost = average_net(sim, eps_net)
     part = voronoi_partition(sim, centers)
-    diff = difference(w, aggregate(w, part))
-    cut, exact = _measured_cut(diff, cut_mode)
-    return PartitionReport(
-        partition=part,
-        cut_error=cut,
-        l1_error=l1_norm(diff),
-        centers=centers,
-        net_cost=cost,
-        certified_bound=8.0 * math.sqrt(cost),
-        exact=exact,
-    )
+    return _measured_report(w, part, cut_mode, centers=centers, net_cost=cost,
+                            certified_bound=8.0 * math.sqrt(cost))
 
 
 def szemeredi_error(w: StepGraphon, p: Partition) -> float:
@@ -168,7 +175,7 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     cost = float(mind @ w.mu)
     if w.k <= CUT_NORM_MAX_STEPS:
         cut = cut_norm(r, mode="exact")
-        if cost > 4.0 * cut + SLACK:
+        if not within_bound(cost, 4.0 * cut):
             raise CertificationError(
                 f"net cost {cost} exceeded 4x cut error {cut}")
     return centers, cost
@@ -182,7 +189,8 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
     centers, then refines by value bands of the center rows (ceil(1/eps)
     bands at multiples of eps). The class count is at most
     m ceil(1/eps)^m for m centers; the L1 error of the aggregated
-    stepfunction is measured exactly and certified against eps.
+    stepfunction is measured exactly, and above eps it raises
+    ``CertificationError``.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
@@ -200,19 +208,10 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
         key = (cover.assign[z],) + tuple(bands[:, z])
         assign.append(keys.setdefault(key, len(keys)))
     part = Partition(w.mu, assign, len(keys))
-    diff = difference(w, aggregate(w, part))
-    cut, exact = _measured_cut(diff, cut_mode)
-    report = PartitionReport(
-        partition=part,
-        cut_error=cut,
-        l1_error=l1_norm(diff),
-        centers=centers,
-        certified_bound=eps,
-        exact=exact,
-    )
     if part.c > m * nbands ** m:
         raise CertificationError("class count exceeded m ceil(1/eps)^m")
-    return report
+    return _measured_report(w, part, cut_mode, check_l1=True, centers=centers,
+                            certified_bound=eps)
 
 
 def thin_ultra_partition(w: StepGraphon, f, eps: float,
@@ -251,21 +250,8 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
     if len(atoms) > bound:
         raise CertificationError(
             f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")
-    diff = difference(w, aggregate(w, part))
-    cut, exact = _measured_cut(diff, cut_mode)
-    report = PartitionReport(
-        partition=part,
-        cut_error=cut,
-        l1_error=l1_norm(diff),
-        centers=centers,
-        certified_bound=eps,
-        exact=exact,
-        atom_count=len(atoms),
-        sauer_bound=bound,
-    )
-    if not report.certified("l1"):
-        raise CertificationError("L1 error exceeded eps in the thin construction")
-    return report
+    return _measured_report(w, part, cut_mode, check_l1=True, centers=centers,
+                            certified_bound=eps, atom_count=len(atoms), sauer_bound=bound)
 
 
 def equalize(w: StepGraphon, p: Partition, eps: float) -> tuple[StepGraphon, Partition]:
@@ -316,7 +302,7 @@ def equalize(w: StepGraphon, p: Partition, eps: float) -> tuple[StepGraphon, Par
     if w.k <= CUT_NORM_MAX_STEPS and new_w.k <= CUT_NORM_MAX_STEPS:
         before = partition_cut_error(w, p)
         after = partition_cut_error(new_w, new_p)
-        if after > 2.0 * before + SLACK:
+        if not within_bound(after, 2.0 * before):
             raise CertificationError("equalize more than doubled the cut error")
     return new_w, new_p
 

@@ -8,13 +8,15 @@ the DE-dimension and the transversal/packing bounds need.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Bigraph, StepGraphon, _frozen_array
+from .core import Bigraph, StepGraphon, _frozen_array, as_bigraphon
+from .densities import bigraph_integral
 from .errors import GraphonError, HypothesisError, InvalidInputError, SizeLimitError
 
 #: an atom counts as present when its weight exceeds this
@@ -225,19 +227,9 @@ def neighborhood_family(w: StepGraphon) -> tuple[SetFamily, list[int]]:
     """
     if not w.is_zero_one():
         raise InvalidInputError("neighborhood family requires a 0-1 stepfunction")
-    masks, counts, seen = [], [], {}
-    for i in range(w.k):
-        mask = 0
-        for j in range(w.k):
-            if w.w[i, j] == 1.0:
-                mask |= 1 << j
-        if mask in seen:
-            counts[seen[mask]] += 1
-        else:
-            seen[mask] = len(masks)
-            masks.append(mask)
-            counts.append(1)
-    return SetFamily(w.k, masks, w.mu), counts
+    counts = Counter(sum(1 << j for j in range(w.k) if w.w[i, j] == 1.0)
+                     for i in range(w.k))
+    return SetFamily(w.k, list(counts), w.mu), list(counts.values())
 
 
 def witness_bigraph(d: int) -> Bigraph:
@@ -246,31 +238,6 @@ def witness_bigraph(d: int) -> Bigraph:
     n1 = d + 1
     edges = [(i, j) for j in range(1 << n1) for i in range(n1) if j >> i & 1]
     return Bigraph(n1, 1 << n1, edges)
-
-
-def _witness_induced_density(f: Bigraph, w: StepGraphon) -> float:
-    """t^b_ind(f, W) for a symmetric 0-1 host, exploiting that the right
-    nodes factorize given the left assignment (cost k^n1, not k^(n1+n2))."""
-    import math
-    import string
-
-    if f.n1 * math.log2(max(w.k, 2)) > 40.0:
-        raise SizeLimitError("witness verification pattern too large")
-    letters = string.ascii_lowercase[:f.n1]
-    comp = 1.0 - w.w
-    prod = None
-    for j in range(f.n2):
-        ops, subs = [], []
-        for i in range(f.n1):
-            ops.append(w.w if (i, j) in f.edges else comp)
-            subs.append(letters[i] + "z")
-        ops.append(w.mu)
-        subs.append("z")
-        t = np.einsum(",".join(subs) + "->" + letters, *ops, optimize=True)
-        prod = t if prod is None else prod * t
-    ops = [prod] + [w.mu] * f.n1
-    subs = [letters] + list(letters)
-    return float(np.einsum(",".join(subs) + "->", *ops, optimize=True))
 
 
 def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
@@ -288,7 +255,7 @@ def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
     if d >= kmax:
         return None
     f = witness_bigraph(d)
-    val = _witness_induced_density(f, w)
+    val = bigraph_integral(f, as_bigraphon(w), induced=True)
     if val != 0.0:
         raise GraphonError(
             f"internal error: witness density {val} nonzero at DE-dimension {d}")

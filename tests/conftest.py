@@ -154,10 +154,18 @@ def brute_density(f, w, induced=False):
     return total
 
 
-def brute_bigraph_density(f, w, induced=False):
+def brute_bigraph_density(f, w, induced=False, roots1=None, roots2=None):
+    """Loop over all assignments of both classes; rooted nodes (maps node ->
+    step) stay at their steps and carry no measure factor."""
+    roots1, roots2 = roots1 or {}, roots2 or {}
+
+    def choices(n, k, roots):
+        return itertools.product(*[[roots[v]] if v in roots else range(k)
+                                   for v in range(n)])
+
     total = 0.0
-    for x in itertools.product(range(w.k1), repeat=f.n1):
-        for y in itertools.product(range(w.k2), repeat=f.n2):
+    for x in choices(f.n1, w.k1, roots1):
+        for y in choices(f.n2, w.k2, roots2):
             term = 1.0
             for u in range(f.n1):
                 for v in range(f.n2):
@@ -166,10 +174,12 @@ def brute_bigraph_density(f, w, induced=False):
                         term *= val
                     elif induced:
                         term *= 1.0 - val
-            for xu in x:
-                term *= w.mu1[xu]
-            for yv in y:
-                term *= w.mu2[yv]
+            for u, xu in enumerate(x):
+                if u not in roots1:
+                    term *= w.mu1[xu]
+            for v, yv in enumerate(y):
+                if v not in roots2:
+                    term *= w.mu2[yv]
             total += term
     return total
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
-from graphonlab import fileio
+from graphonlab import cli, fileio
 from graphonlab.cli import main
 
 
@@ -156,6 +156,43 @@ def test_thinness_subcommand(workdir):
     assert doc["t_b_ind"] == 0.0
     back = fileio.load_bigraph(witness_file)
     assert back.n1 == 2 and back.n2 == 4
+
+
+def test_thinness_witness_beyond_pattern_guard(workdir):
+    host, witness_file = workdir / "r14.graphon", workdir / "w.bigraph"
+    code, _, _ = run_cli("zoo", "random", "--k", 14, "--seed", 3, "--zero-one", "-o", host)
+    assert code == 0
+    code, out, err = run_cli("thinness", host, "--witness-out", witness_file)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["de"] == 3 and doc["t_b_ind"] == 0.0
+    back = fileio.load_bigraph(witness_file)
+    assert back.n1 == 4 and back.n2 == 16
+
+
+def test_thin_chain_with_3x8_witness(workdir):
+    host, witness_file, rep = (workdir / "r7.graphon", workdir / "w.bigraph",
+                               workdir / "rep.json")
+    fileio.write_graphon(host, gl.zoo.random_stepfunction(7, 0, zero_one=True))
+    code, out, _ = run_cli("thinness", host, "--witness-out", witness_file)
+    assert code == 0 and json.loads(out)["n2"] == 8
+    code, _, err = run_cli("partition", "thin", host, "--eps", "0.25",
+                           "--pattern", witness_file, "-o", rep)
+    assert code == 0, err
+    code, out, _ = run_cli("report", rep)
+    assert code == 0 and "certified: PASS" in out
+
+
+def test_unexpected_exception_exit_5(workdir, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_density", broken)
+    code = main(["density", "--graphon", str(workdir / "k2.graphon"),
+                 "--pattern", str(workdir / "k2.graph")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "internal error: RuntimeError: boom" in err
 
 
 def test_zoo_subcommand_round_trip(workdir):

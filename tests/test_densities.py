@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab.densities import bigraph_integral
+from graphonlab.setsystems import witness_bigraph
 
 from conftest import (brute_bigraph_density, brute_density, random_bigraph,
                       random_bigraphon, random_graph, rng)
@@ -199,3 +201,83 @@ def test_partial_bigraph_incomplete_assignment():
         gl.partial_bigraph_density(f, [0, 1], [], {0: 0}, {}, w)
     with pytest.raises(gl.InvalidInputError):
         gl.partial_bigraph_density(f, [], [0], {}, {0: 9}, w)
+
+
+@pytest.mark.parametrize("induced", [False, True])
+@pytest.mark.parametrize("n1, n2, roots1, roots2", [
+    (2, 4, {}, {}),              # n1 < n2: class 1 is enumerated
+    (4, 2, {}, {}),              # n1 > n2: class 2 is enumerated
+    (3, 3, {1: 2}, {0: 3}),      # roots on both classes
+    (2, 4, {}, {1: 0, 3: 2}),    # roots leave class 2 with fewer free nodes
+    (0, 3, {}, {}),              # class 1 empty
+    (3, 0, {0: 1}, {}),          # class 2 empty
+])
+def test_bigraph_kernel_matches_brute_force(n1, n2, roots1, roots2, induced):
+    for seed in range(4):
+        w = random_bigraphon(3, 4, seed=300 + seed)  # k1 != k2
+        f = random_bigraph(n1, n2, seed=400 + seed)
+        want = brute_bigraph_density(f, w, induced, roots1, roots2)
+        got = gl.partial_bigraph_density(f, list(roots1), list(roots2), roots1, roots2,
+                                         w, induced=induced)
+        assert abs(got - want) <= 1e-12
+        assert got == bigraph_integral(f, w, induced, roots1, roots2)
+
+
+@pytest.mark.parametrize("induced", [False, True])
+def test_bigraph_kernel_twin_class2_nodes(induced):
+    # nodes 0-2 share the neighbourhood {0}, 3 and 4 share {0, 1}; rooting
+    # node 4 separates it from its twin 3
+    f = gl.Bigraph(2, 5, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    for seed in range(4):
+        w = random_bigraphon(3, 2, seed=500 + seed)
+        for roots2 in ({}, {4: 1}):
+            want = brute_bigraph_density(f, w, induced, {}, roots2)
+            got = gl.partial_bigraph_density(f, [], list(roots2), {}, roots2, w,
+                                             induced=induced)
+            assert abs(got - want) <= 1e-12
+
+
+def test_bigraph_kernel_excluded_patterns_exactly_zero():
+    for seed in range(6):
+        w = gl.zoo.random_stepfunction(6, seed=600 + seed, zero_one=True)
+        d = gl.de_dimension(gl.neighborhood_family(w)[0])
+        f = witness_bigraph(d)
+        flipped = gl.Bigraph(f.n2, f.n1, [(v, u) for u, v in f.edges])
+        host = gl.as_bigraphon(w)
+        assert gl.bigraph_density(f, host, induced=True) == 0.0
+        assert gl.bigraph_density(flipped, host, induced=True) == 0.0
+
+
+def test_bigraph_kernel_witness_3x8_at_k7():
+    w = gl.zoo.random_stepfunction(7, 0, zero_one=True)
+    assert gl.de_dimension(gl.neighborhood_family(w)[0]) == 2
+    assert gl.bigraph_density(witness_bigraph(2), gl.as_bigraphon(w), induced=True) == 0.0
+
+
+def test_bigraph_kernel_enumeration_guard():
+    big = gl.StepBigraphon(np.full(32, 1 / 32), np.full(32, 1 / 32),
+                           np.zeros((32, 32)))
+    with pytest.raises(gl.SizeLimitError):
+        bigraph_integral(random_bigraph(9, 20, seed=0), big)  # 9 * log2(32) = 45 > 40
+
+
+@pytest.mark.parametrize("induced", [False, True])
+def test_bigraph_kernel_many_class2_factors(induced):
+    # the 6x64 witness has 64 distinct class-2 neighbourhoods, so the final
+    # sum multiplies 64 factors and 6 measures; at k = 1 every assignment
+    # is the same and the density is p^|E| (times (1-p)^non-edges if induced)
+    p = 0.3
+    f = witness_bigraph(5)
+    w = gl.StepBigraphon(np.ones(1), np.ones(1), np.full((1, 1), p))
+    e = len(f.edges)
+    want = p ** e * ((1 - p) ** (f.n1 * f.n2 - e) if induced else 1.0)
+    got = gl.bigraph_density(f, w, induced=induced)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_bigraph_kernel_5x32_witness_excluded_at_k2():
+    # on two steps some two of the five class-1 nodes share a step, so the
+    # class-2 node adjacent to exactly one of them has value 0
+    for seed in range(4):
+        w = gl.as_bigraphon(gl.zoo.random_stepfunction(2, seed=700 + seed, zero_one=True))
+        assert gl.bigraph_density(witness_bigraph(4), w, induced=True) == 0.0

@@ -1,4 +1,4 @@
-"""Property tests for invariants of the metric layer on random small hosts."""
+"""Property tests for the north-star invariants on random small hosts."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,3 +38,62 @@ def test_purify_is_idempotent(w):
     assert sorted(set(mapping)) == list(range(pure.k))
     again, identity = gl.purify(pure)
     assert again is pure and identity == list(range(pure.k))
+
+
+@st.composite
+def partitioned_hosts(draw):
+    """A host and a partition of its steps into nonempty classes."""
+    w = draw(hosts())
+    labels = draw(st.lists(st.integers(0, w.k - 1), min_size=w.k, max_size=w.k))
+    _, assign = np.unique(labels, return_inverse=True)
+    return w, gl.Partition(w.mu, assign.tolist(), int(assign.max()) + 1)
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_hosts())
+def test_cut_norm_below_l1_norm(wp):
+    w, p = wp
+    r = gl.difference(w, gl.aggregate(w, p))
+    assert gl.cut_norm(r, mode="exact") <= gl.l1_norm(r) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_hosts())
+def test_aggregate_is_idempotent(wp):
+    w, p = wp
+    once = gl.aggregate(w, p)
+    twice = gl.aggregate(once, p)
+    assert np.max(np.abs(twice.w - once.w)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(hosts(), st.data())
+def test_split_and_permutation_preserve_densities(w, data):
+    i = data.draw(st.integers(0, w.k - 1))
+    parts = data.draw(st.integers(2, 3))
+    split = gl.split_step(w, i, parts)
+    perm = data.draw(st.permutations(range(split.k)))
+    moved = gl.StepGraphon(split.mu[perm], split.w[np.ix_(perm, perm)])
+    where = np.argsort(perm)
+
+    def image(step):  # a step of w in ``moved`` (step i: its first copy)
+        return int(where[step if step <= i else step + parts - 1])
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12
+
+    for g in (gl.Graph.complete(3), gl.Graph(3, [(0, 1), (1, 2)])):
+        assert close(gl.density(g, moved), gl.density(g, w))
+        assert close(gl.induced_density(g, moved), gl.induced_density(g, w))
+    b, bm = gl.as_bigraphon(w), gl.as_bigraphon(moved)
+    wide = gl.Bigraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])  # class 1 enumerated
+    tall = gl.Bigraph(3, 2, [(v, u) for u, v in wide.edges])   # class 2 enumerated
+    for f in (wide, tall):
+        assert close(gl.bigraph_density(f, bm, induced=True),
+                     gl.bigraph_density(f, b, induced=True))
+    x, y = data.draw(st.integers(0, w.k - 1)), data.draw(st.integers(0, w.k - 1))
+    for f, s1, s2 in ((wide, [0], [2]), (tall, [0], [1])):
+        roots = ({s1[0]: x}, {s2[0]: y})
+        moved_roots = ({s1[0]: image(x)}, {s2[0]: image(y)})
+        assert close(gl.partial_bigraph_density(f, s1, s2, *moved_roots, bm, induced=True),
+                     gl.partial_bigraph_density(f, s1, s2, *roots, b, induced=True))

@@ -301,3 +301,13 @@ def test_basis_mismatch_errors(k2_graphon):
         gl.equalize(k2_graphon, other, 0.5)
     with pytest.raises(gl.BasisMismatchError):
         gl.szemeredi_error(k2_graphon, other)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: gl.ultra_strong_partition(w, 0.3),
+    lambda w: gl.thin_ultra_partition(w, gl.Bigraph(2, 2, [(0, 0), (1, 1)]), 0.3),
+])
+def test_l1_partitions_raise_when_l1_exceeds_eps(monkeypatch, build):
+    monkeypatch.setattr(gl.regularity, "l1_norm", lambda r: 0.5)
+    with pytest.raises(gl.CertificationError):
+        build(gl.zoo.half_graphon(8))
