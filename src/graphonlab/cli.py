@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio, metrics, regularity, setsystems, zoo
 from .core import Graph, StepGraphon, as_bigraphon
-from .densities import bigraph_density, bigraph_integral, density, induced_density
+from .densities import bigraph_density, density, induced_density
 from .errors import (BasisMismatchError, CertificationError, GraphonError,
                      HypothesisError, InvalidInputError, SizeLimitError)
 from .regularity import CERTIFIED_ERROR, within_bound
@@ -141,15 +141,16 @@ def cmd_vc(args) -> int:
 
 def cmd_thinness(args) -> int:
     w = fileio.load_graphon(args.graphon)
-    fam, _ = setsystems.neighborhood_family(w)
-    d = setsystems.de_dimension(fam)
     witness = setsystems.thinness_witness(w, args.kmax)
-    result = {"de": d, "kmax": args.kmax, "witness_found": witness is not None}
-    if witness is not None:
-        result["n1"] = witness.n1
-        result["n2"] = witness.n2
-        # the witness rule thinness_witness verified, not the pattern guard
-        result["t_b_ind"] = bigraph_integral(witness, as_bigraphon(w), induced=True)
+    if witness is None:
+        fam, _ = setsystems.neighborhood_family(w)
+        result = {"de": setsystems.de_dimension(fam), "kmax": args.kmax,
+                  "witness_found": False}
+    else:
+        # the witness has DE-dimension + 1 left nodes, and thinness_witness
+        # raises unless its induced density is exactly 0.0
+        result = {"de": witness.n1 - 1, "kmax": args.kmax, "witness_found": True,
+                  "n1": witness.n1, "n2": witness.n2, "t_b_ind": 0.0}
         if args.witness_out:
             fileio.write_bigraph(args.witness_out, witness)
     _emit(fileio.dumps_canonical(result) + "\n", args.output)

@@ -397,15 +397,20 @@ def cut_norm(r: StepKernel, mode: str = "exact", seed: int = 0) -> float:
     column set per sign, in O(2^k k) time and bounded working memory,
     after dropping zero rows and columns. Heuristic mode runs an
     alternating sign-greedy ascent from 20 seeded random restarts and
-    returns a lower bound.
+    returns a lower bound: every value it reaches is the sum of an actual
+    rectangle. An all-zero kernel (such as W - W_P on an all-singletons
+    partition) returns 0.0 in either mode without any search, after the
+    exact mode's size guard.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown cut norm mode {mode!r}")
+    if mode == "exact" and r.k > CUT_NORM_MAX_STEPS:
+        raise SizeLimitError(
+            f"exact cut norm enumerates 2^k subsets; k={r.k} exceeds {CUT_NORM_MAX_STEPS}")
     a = r.mu[:, None] * r.mu[None, :] * r.w
+    if not a.any():
+        return 0.0
     if mode == "exact":
-        if r.k > CUT_NORM_MAX_STEPS:
-            raise SizeLimitError(
-                f"exact cut norm enumerates 2^k subsets; k={r.k} exceeds {CUT_NORM_MAX_STEPS}")
         return max(rectangle_max(a))
     return _cut_norm_heuristic(a, restarts=20, seed=seed)
 
@@ -418,18 +423,20 @@ def aggregate(w: StepGraphon, p: Partition) -> StepGraphon:
     """Stepping of W on a partition: W_P, pulled back to the original steps.
 
     The value on (i, j) is the measure-weighted average of W over
-    class(i) x class(j). Aggregating twice with the same partition is a
-    no-op up to rounding.
+    class(i) x class(j), computed as Z^T W Z with the membership weight
+    z_ia = mu_i / (measure of class a). A singleton class has weight
+    exactly 1.0, so W_P equals W bit for bit on singleton x singleton
+    blocks, and the all-singletons partition reproduces W. Aggregating
+    twice with the same partition is a no-op up to rounding.
     """
     check_basis(p, w)
     assign = np.array(p.assign, dtype=int)
     z = np.zeros((w.k, p.c))
-    z[np.arange(w.k), assign] = 1.0
-    cmass = z.T @ w.mu
-    block = z.T @ (w.mu[:, None] * w.mu[None, :] * w.w) @ z
+    cmass = np.bincount(assign, weights=w.mu, minlength=p.c)
+    z[np.arange(w.k), assign] = w.mu / cmass[assign]
+    block = z.T @ w.w @ z
     block = (block + block.T) / 2.0
-    vals = block / np.outer(cmass, cmass)
-    out = vals[np.ix_(assign, assign)]
+    out = block[np.ix_(assign, assign)]
     return StepGraphon(w.mu, np.clip(out, 0.0, 1.0))
 
 

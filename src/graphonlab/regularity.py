@@ -21,7 +21,7 @@ import numpy as np
 from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
                    l1_norm, rectangle_max)
-from .densities import bigraph_density
+from .densities import bigraph_integral
 from .errors import (CertificationError, HypothesisError, InvalidInputError,
                      SizeLimitError)
 from .metrics import (average_net, greedy_packing, neighborhood_metric, similarity_metric,
@@ -136,7 +136,8 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     likewise for the negative sign; the result is the larger total. One
     ``rectangle_max`` call per block gives both signs, exactly, in
     O(2^k k) time and bounded working memory; blocks of W - W_P that are
-    identically 0 (e.g. singleton classes) cost nothing.
+    identically 0 cost nothing, and singleton x singleton blocks always
+    are, since ``aggregate`` reproduces W there exactly.
     """
     check_basis(p, w)
     if w.k > SZEMEREDI_MAX_STEPS:
@@ -159,8 +160,11 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     Per class the step minimizing F(x) = sum_z mu_z |sum_s mu_s R(x,s) W(s,z)|
     is "below average", and the selected set is an average 4 eps-net in the
     similarity metric when the partition has cut error eps. The inequality
-    net_cost <= 4 * exact cut error is re-checked whenever the exact cut
-    norm is available.
+    net_cost <= 4 * cut error is checked whenever the exact cut norm is
+    available (k <= 24): first against the heuristic cut norm, a lower
+    bound (each of its values is an actual rectangle sum), so passing it
+    proves the check; only when it falls short does the exact enumeration
+    decide, and ``CertificationError`` is raised if that fails too.
     """
     check_basis(p, w)
     r = difference(w, aggregate(w, p))
@@ -173,7 +177,8 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     sim = similarity_metric(w)
     mind = np.min(sim.dist[:, centers], axis=1)
     cost = float(mind @ w.mu)
-    if w.k <= CUT_NORM_MAX_STEPS:
+    if w.k <= CUT_NORM_MAX_STEPS and not within_bound(
+            cost, 4.0 * cut_norm(r, mode="heuristic")):
         cut = cut_norm(r, mode="exact")
         if not within_bound(cost, 4.0 * cut):
             raise CertificationError(
@@ -218,17 +223,21 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
                          cut_mode: str = "auto") -> PartitionReport:
     """Ultra-strong partition of a 0-1 graphon excluding the bigraph f.
 
-    Verifies t^b_ind(f, W) = 0 exactly, covers (J, r_W) by eps/4 balls and
-    intersects the cells with the positive-measure atoms of the Boolean
-    algebra generated by the center-row supports. The atom count obeys the
-    Sauer-Shelah certificate sum_{i < |V(f)|} C(m, i), and the aggregated
-    L1 error is at most eps (the ball cover alone gives eps/2).
+    Verifies t^b_ind(f, W) = 0 exactly through the bigraph kernel
+    (``bigraph_integral``, under its enumeration guard, so any witness that
+    ``thinness_witness`` verifies is accepted), covers (J, r_W) by eps/4
+    balls and intersects the cells with the positive-measure atoms of the
+    Boolean algebra generated by the center-row supports. The atom count
+    obeys the Sauer-Shelah certificate sum_{i < |V(f)|} C(m, i), and the
+    aggregated L1 error is at most eps (the ball cover alone gives eps/2).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
     if not w.is_zero_one():
         raise HypothesisError("thin partitioning requires a 0-1 stepfunction")
-    excluded = bigraph_density(f, as_bigraphon(w), induced=True)
+    if f.n1 == 0 and f.n2 == 0:
+        raise InvalidInputError("pattern bigraph has no nodes")
+    excluded = bigraph_integral(f, as_bigraphon(w), induced=True)
     if excluded != 0.0:
         raise HypothesisError(
             f"pattern is not excluded: t^b_ind = {excluded:.6g} > 0")

@@ -118,6 +118,20 @@ def reference_purify(w, tol=1e-9):
     return mu, np.clip(vals, 0.0, 1.0), mapping
 
 
+def reference_aggregate(w, p):
+    """The block average ``aggregate`` replaced: measure-weighted block sums
+    of mu_i mu_j W_ij divided by the product of the class measures, then
+    symmetrised and clipped. Returns the pulled-back value matrix."""
+    assign = np.array(p.assign, dtype=int)
+    z = np.zeros((w.k, p.c))
+    z[np.arange(w.k), assign] = 1.0
+    cmass = z.T @ w.mu
+    block = z.T @ (w.mu[:, None] * w.mu[None, :] * w.w) @ z
+    block = (block + block.T) / 2.0
+    vals = block / np.outer(cmass, cmass)
+    return np.clip(vals[np.ix_(assign, assign)], 0.0, 1.0)
+
+
 def brute_szemeredi_error(w, p):
     """Every S x T inside every ordered class-pair block, both sides
     enumerated; the per-block optima add up per sign."""

@@ -168,6 +168,12 @@ def test_thinness_witness_beyond_pattern_guard(workdir):
     assert doc["de"] == 3 and doc["t_b_ind"] == 0.0
     back = fileio.load_bigraph(witness_file)
     assert back.n1 == 4 and back.n2 == 16
+    rep = workdir / "rep.json"
+    code, _, err = run_cli("partition", "thin", host, "--eps", "0.25",
+                           "--pattern", witness_file, "-o", rep)
+    assert code == 0, err
+    code, out, _ = run_cli("report", rep)
+    assert code == 0 and "certified: PASS" in out
 
 
 def test_thin_chain_with_3x8_witness(workdir):

@@ -4,7 +4,8 @@ import pytest
 import graphonlab as gl
 from graphonlab.core import operator_product_values
 
-from conftest import brute_cut_norm, random_partition, reference_rectangle_max, rng
+from conftest import (brute_cut_norm, random_partition, reference_aggregate,
+                      reference_rectangle_max, rng)
 
 
 def test_graphon_from_graph_k2(k2_graphon):
@@ -189,6 +190,18 @@ def test_cut_norm_size_guard():
     assert gl.cut_norm(big, mode="heuristic") == 0.0
 
 
+def test_cut_norm_zero_kernel_skips_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an all-zero kernel")
+
+    monkeypatch.setattr(gl.core, "rectangle_max", no_search)
+    monkeypatch.setattr(gl.core, "_cut_norm_heuristic", no_search)
+    for k in (20, 300):
+        zero = gl.StepKernel(np.full(k, 1 / k), np.zeros((k, k)))
+        assert gl.cut_norm(zero, mode="heuristic") == 0.0
+    assert gl.cut_norm(gl.StepKernel(np.full(20, 1 / 20), np.zeros((20, 20)))) == 0.0
+
+
 def test_cut_norm_at_most_l1():
     for seed in range(50):
         kern = gl.zoo.random_kernel(2 + seed % 9, seed=200 + seed)
@@ -217,6 +230,21 @@ def test_aggregate_idempotent():
         once = gl.aggregate(w, p)
         twice = gl.aggregate(once, p)
         assert np.max(np.abs(once.w - twice.w)) <= 1e-12
+
+
+def test_aggregate_matches_reference_with_exact_singleton_blocks():
+    for seed, k in enumerate((20, 100, 300)):
+        r = rng(seed)
+        mass = r.random(k) + 0.1
+        w = gl.StepGraphon(mass / mass.sum(), gl.zoo.random_stepfunction(k, seed=500 + seed).w)
+        merged = r.random(k) < 0.5
+        labels = [i % 5 if m else 5 + i for i, m in enumerate(merged)]
+        _, assign = np.unique(labels, return_inverse=True)
+        p = gl.Partition(w.mu, assign.tolist(), int(assign.max()) + 1)
+        out = gl.aggregate(w, p).w
+        assert np.max(np.abs(out - reference_aggregate(w, p))) <= 1e-15
+        alone = np.flatnonzero(~merged)
+        assert np.array_equal(out[np.ix_(alone, alone)], w.w[np.ix_(alone, alone)])
 
 
 def test_aggregate_basis_mismatch(k2_graphon):

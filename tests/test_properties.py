@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import graphonlab as gl
 
+from conftest import reference_aggregate
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -64,6 +66,40 @@ def test_aggregate_is_idempotent(wp):
     once = gl.aggregate(w, p)
     twice = gl.aggregate(once, p)
     assert np.max(np.abs(twice.w - once.w)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(hosts())
+def test_aggregate_on_singletons_is_exact(w):
+    singletons = gl.Partition.singletons(w.mu)
+    assert np.array_equal(gl.aggregate(w, singletons).w, w.w)
+    r = gl.difference(w, gl.aggregate(w, singletons))
+    assert gl.szemeredi_error(w, singletons) == 0.0
+    assert gl.cut_norm(r, mode="exact") == 0.0
+    assert gl.cut_norm(r, mode="heuristic") == 0.0
+
+
+@st.composite
+def mixed_partitions(draw):
+    """A host and a partition that keeps some steps as singleton classes
+    and deals the others round-robin into up to three merged classes."""
+    w = draw(hosts())
+    merged = draw(st.lists(st.booleans(), min_size=w.k, max_size=w.k))
+    groups = draw(st.integers(1, 3))
+    labels = [i % groups if m else groups + i for i, m in enumerate(merged)]
+    _, assign = np.unique(labels, return_inverse=True)
+    return w, gl.Partition(w.mu, assign.tolist(), int(assign.max()) + 1)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_partitions())
+def test_aggregate_singleton_blocks_exact(wp):
+    w, p = wp
+    out = gl.aggregate(w, p).w
+    sizes = np.bincount(p.assign, minlength=p.c)
+    alone = np.flatnonzero(sizes[list(p.assign)] == 1)
+    assert np.array_equal(out[np.ix_(alone, alone)], w.w[np.ix_(alone, alone)])
+    assert np.max(np.abs(out - reference_aggregate(w, p))) <= 1e-15
 
 
 @PROPERTY_SETTINGS

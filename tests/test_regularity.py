@@ -97,6 +97,54 @@ def test_net_from_partition_bound():
             assert cost <= 4.0 * gl.partition_cut_error(w, p) + 1e-9
 
 
+def _certify_host():
+    """A k = 20 host and its weak partition, as the certify pipeline makes them."""
+    w = gl.zoo.random_stepfunction(20, seed=11)
+    return w, gl.weak_partition_via_net(w, 0.05).partition
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _no_heuristic(monkeypatch):
+    monkeypatch.setattr(gl.core, "_cut_norm_heuristic", lambda a, restarts, seed: 0.0)
+
+
+def test_net_from_partition_proves_its_check_from_the_heuristic(monkeypatch):
+    w, p = _certify_host()
+    exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
+    _, cost = gl.net_from_partition(w, p)
+    assert exact == []
+    assert cost <= 4.0 * gl.partition_cut_error(w, p)
+
+
+def test_net_from_partition_exact_path_decides(monkeypatch):
+    w, p = _certify_host()
+    expected = gl.net_from_partition(w, p)
+    _no_heuristic(monkeypatch)
+    exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
+    assert gl.net_from_partition(w, p) == expected
+    assert expected[1] > 0.0 and len(exact) == 1
+
+
+def test_net_from_partition_raises_when_exact_falls_short(monkeypatch):
+    w, p = _certify_host()
+    _, cost = gl.net_from_partition(w, p)
+    _no_heuristic(monkeypatch)
+    monkeypatch.setattr(gl.core, "rectangle_max", lambda a: (cost / 8.0, 0.0))
+    with pytest.raises(gl.CertificationError):
+        gl.net_from_partition(w, p)
+
+
 def test_ultra_strong_separated_rows_is_exact():
     h = gl.zoo.half_graphon(8)  # min row distance 1/8 > eps/2 for eps = 0.2
     rep = gl.ultra_strong_partition(h, 0.2)
@@ -161,6 +209,11 @@ def test_thin_ultra_rejects_non_zero_one():
     half = gl.StepGraphon(np.array([1.0]), np.array([[0.5]]))
     with pytest.raises(gl.HypothesisError):
         gl.thin_ultra_partition(half, gl.Bigraph(1, 1, [(0, 0)]), 0.3)
+
+
+def test_thin_ultra_rejects_empty_pattern():
+    with pytest.raises(gl.InvalidInputError):
+        gl.thin_ultra_partition(gl.zoo.half_graphon(4), gl.Bigraph(0, 0), 0.3)
 
 
 def test_thin_ultra_rejects_present_pattern():
