@@ -4,6 +4,14 @@ Everything here is a stepfunction: a symmetric matrix of values together
 with positive step measures summing to 1. All values are immutable after
 construction (arrays are copied in and marked read-only), and every
 operation is a pure function, so concurrent use on shared inputs is safe.
+
+One derived quantity is kept: a ``Partition`` remembers the residual
+W - W_P of the last graphon it was measured against (and, once computed,
+its exact cut norm), so a partition is measured once however often it is
+asked about. The memo is one immutable tuple replaced whole, so a
+concurrent reader sees the old memo or the new one, never half of one; it
+is matched to the graphon by identity and lives only as long as the
+partition does. Nothing is cached on graphons or kernels.
 """
 
 from __future__ import annotations
@@ -189,11 +197,19 @@ class Partition:
     ``base`` are the measures of the steps being partitioned (copied from
     the graphon), ``assign[i]`` is the class id of step i, and ``c`` is the
     number of classes. Every class must be nonempty.
+
+    ``_residual`` is not a field: it is the memo that ``regularity`` keeps
+    of the last graphon W this partition was measured against, as one
+    tuple (W, W_P, W - W_P, exact cut norm of W - W_P or None), matched to
+    W by identity and replaced whole. Equality, ``repr`` and the file
+    formats ignore it, and it lives exactly as long as the partition.
     """
 
     base: np.ndarray
     assign: tuple
     c: int
+
+    _residual = None
 
     def __init__(self, base, assign: Sequence[int], c: int | None = None):
         base = _frozen_array(base)

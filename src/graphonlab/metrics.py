@@ -258,8 +258,9 @@ def voronoi_partition(m: MetricView, centers) -> Partition:
     """Partition into Voronoi cells of the centers.
 
     Each point goes to its nearest center; ties break toward the center
-    with the lowest step index, except that a center always claims itself
-    so every cell is nonempty.
+    with the lowest step index (one argmin over the centers' columns taken
+    in step order), except that a center always claims itself so every
+    cell is nonempty.
     """
     centers = [int(c) for c in centers]
     if not centers:
@@ -268,16 +269,7 @@ def voronoi_partition(m: MetricView, centers) -> Partition:
         raise InvalidInputError("center index out of range")
     if len(set(centers)) != len(centers):
         raise InvalidInputError("duplicate centers")
-    order = np.argsort(np.array(centers), kind="stable")
-    assign = []
-    for x in range(m.k):
-        if x in centers:
-            assign.append(centers.index(x))
-            continue
-        best = None, np.inf
-        for ci in order:
-            dxc = m.dist[x, centers[ci]]
-            if dxc < best[1]:
-                best = int(ci), float(dxc)
-        assign.append(best[0])
+    order = np.argsort(centers)
+    assign = order[np.argmin(m.dist[:, np.array(centers)[order]], axis=1)]
+    assign[centers] = np.arange(len(centers))
     return Partition(m.mu, assign, len(centers))

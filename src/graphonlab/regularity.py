@@ -91,15 +91,37 @@ class PartitionReport:
         return d
 
 
+def _residual(w: StepGraphon, p: Partition) -> tuple:
+    """The memo (W, W_P, W - W_P, exact cut norm or None) of the pair, and
+    the one place W - W_P is built: kept on ``p`` (see ``Partition``) and
+    reused while ``p`` is asked about this same graphon object."""
+    memo = p._residual
+    if memo is None or memo[0] is not w:
+        check_basis(p, w)
+        wp = aggregate(w, p)
+        memo = (w, wp, difference(w, wp), None)
+        object.__setattr__(p, "_residual", memo)
+    return memo
+
+
+def _exact_cut(w: StepGraphon, p: Partition) -> float:
+    """Exact cut norm of W - W_P, enumerated at most once per memo."""
+    memo = _residual(w, p)
+    if memo[3] is None:
+        memo = memo[:3] + (cut_norm(memo[2], mode="exact"),)
+        object.__setattr__(p, "_residual", memo)
+    return memo[3]
+
+
 def _measured_report(w: StepGraphon, part: Partition, cut_mode: str,
                      check_l1: bool = False, **fields) -> PartitionReport:
     """Report of ``part`` with the errors of W - W_P measured: the cut norm
     (exact when k allows) and the L1 norm. With ``check_l1`` an L1 error
     above the certified bound raises."""
-    diff = difference(w, aggregate(w, part))
+    diff = _residual(w, part)[2]
     if cut_mode == "auto":
         cut_mode = "exact" if diff.k <= CUT_NORM_MAX_STEPS else "heuristic"
-    report = PartitionReport(partition=part, cut_error=cut_norm(diff, mode=cut_mode),
+    report = PartitionReport(partition=part, cut_error=partition_cut_error(w, part, cut_mode),
                              l1_error=l1_norm(diff), exact=cut_mode == "exact", **fields)
     if check_l1 and not report.certified("l1"):
         raise CertificationError(f"L1 error {report.l1_error:.6g} exceeded the "
@@ -108,9 +130,11 @@ def _measured_report(w: StepGraphon, part: Partition, cut_mode: str,
 
 
 def partition_cut_error(w: StepGraphon, p: Partition, mode: str = "exact") -> float:
-    """Cut norm of W - W_P (exact needs k <= 24)."""
-    check_basis(p, w)
-    return cut_norm(difference(w, aggregate(w, p)), mode=mode)
+    """Cut norm of W - W_P (exact needs k <= 24). The residual and the exact
+    value are memoized on ``p`` for this graphon object."""
+    if mode == "exact":
+        return _exact_cut(w, p)
+    return cut_norm(_residual(w, p)[2], mode=mode)
 
 
 def weak_partition_via_net(w: StepGraphon, eps_net: float,
@@ -138,11 +162,19 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     O(2^k k) time and bounded working memory; blocks of W - W_P that are
     identically 0 cost nothing, and singleton x singleton blocks always
     are, since ``aggregate`` reproduces W there exactly.
+
+    On a one-class partition the one block is the whole matrix, so the
+    value is the exact cut norm of W - W_P, the same ``rectangle_max``
+    call on the same array: it is read from (or stored in) the memo that
+    ``p`` keeps for this graphon object, and a partition whose weak report
+    has just measured it costs nothing more.
     """
     check_basis(p, w)
     if w.k > SZEMEREDI_MAX_STEPS:
         raise SizeLimitError(f"exact Szemeredi error limited to {SZEMEREDI_MAX_STEPS} steps")
-    r = difference(w, aggregate(w, p))
+    if p.c == 1:
+        return _exact_cut(w, p)
+    r = _residual(w, p)[2]
     a = r.mu[:, None] * r.mu[None, :] * r.w
     cls = p.classes()
     pos = neg = 0.0
@@ -161,13 +193,16 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     is "below average", and the selected set is an average 4 eps-net in the
     similarity metric when the partition has cut error eps. The inequality
     net_cost <= 4 * cut error is checked whenever the exact cut norm is
-    available (k <= 24): first against the heuristic cut norm, a lower
-    bound (each of its values is an actual rectangle sum), so passing it
-    proves the check; only when it falls short does the exact enumeration
-    decide, and ``CertificationError`` is raised if that fails too.
+    available (k <= 24). When ``p`` already holds the exact cut norm for
+    this graphon object (a weak report measured it), the check reads it
+    and enumerates nothing. Otherwise it runs first against the heuristic
+    cut norm, a lower bound (each of its values is an actual rectangle
+    sum), so passing it proves the check; only when it falls short does
+    the exact enumeration decide (and is memoized on ``p``), and
+    ``CertificationError`` is raised if that fails too.
     """
-    check_basis(p, w)
-    r = difference(w, aggregate(w, p))
+    memo = _residual(w, p)
+    r = memo[2]
     inner = r.w @ (w.mu[:, None] * w.w)
     f = np.abs(inner) @ w.mu
     centers = []
@@ -177,13 +212,30 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     sim = similarity_metric(w)
     mind = np.min(sim.dist[:, centers], axis=1)
     cost = float(mind @ w.mu)
-    if w.k <= CUT_NORM_MAX_STEPS and not within_bound(
-            cost, 4.0 * cut_norm(r, mode="heuristic")):
-        cut = cut_norm(r, mode="exact")
-        if not within_bound(cost, 4.0 * cut):
-            raise CertificationError(
-                f"net cost {cost} exceeded 4x cut error {cut}")
+    if w.k <= CUT_NORM_MAX_STEPS:
+        proven = memo[3] is None and within_bound(cost, 4.0 * cut_norm(r, mode="heuristic"))
+        if not proven:
+            cut = _exact_cut(w, p)
+            if not within_bound(cost, 4.0 * cut):
+                raise CertificationError(
+                    f"net cost {cost} exceeded 4x cut error {cut}")
     return centers, cost
+
+
+def _cover_and_refine(w: StepGraphon, eps: float, label) -> tuple[list[int], Partition, set]:
+    """Cover (J, r_W) by balls of radius eps/4 around the greedy packing's
+    centers, then split each Voronoi cell by a per-step label of the
+    center rows: ``label`` maps the m x k center rows to an m x k array
+    whose column z labels step z. Classes are numbered in order of first
+    appearance. Returns the centers, the partition and the set of labels
+    seen."""
+    rw = neighborhood_metric(w)
+    centers = greedy_packing(rw, eps / 4.0)
+    cover = voronoi_partition(rw, centers)
+    labels = [tuple(col) for col in label(w.w[centers]).T.tolist()]
+    keys = {}
+    assign = [keys.setdefault(key, len(keys)) for key in zip(cover.assign, labels)]
+    return centers, Partition(w.mu, assign, len(keys)), set(labels)
 
 
 def ultra_strong_partition(w: StepGraphon, eps: float,
@@ -201,18 +253,10 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
         raise InvalidInputError("eps must lie in (0, 1)")
     if w.k > MAX_CLASSES:
         raise SizeLimitError("too many steps for the class-count guard")
-    rw = neighborhood_metric(w)
-    centers = greedy_packing(rw, eps / 4.0)
-    cover = voronoi_partition(rw, centers)
-    m = len(centers)
     nbands = math.ceil(1.0 / eps)
-    bands = np.minimum((w.w[centers] / eps).astype(int), nbands - 1)
-    keys = {}
-    assign = []
-    for z in range(w.k):
-        key = (cover.assign[z],) + tuple(bands[:, z])
-        assign.append(keys.setdefault(key, len(keys)))
-    part = Partition(w.mu, assign, len(keys))
+    centers, part, _ = _cover_and_refine(
+        w, eps, lambda rows: np.minimum((rows / eps).astype(int), nbands - 1))
+    m = len(centers)
     if part.c > m * nbands ** m:
         raise CertificationError("class count exceeded m ceil(1/eps)^m")
     return _measured_report(w, part, cut_mode, check_l1=True, centers=centers,
@@ -241,21 +285,8 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
     if excluded != 0.0:
         raise HypothesisError(
             f"pattern is not excluded: t^b_ind = {excluded:.6g} > 0")
-    rw = neighborhood_metric(w)
-    centers = greedy_packing(rw, eps / 4.0)
-    cover = voronoi_partition(rw, centers)
-    m = len(centers)
-    supports = w.w[centers] == 1.0
-    atoms = set()
-    keys = {}
-    assign = []
-    for z in range(w.k):
-        sig = tuple(bool(b) for b in supports[:, z])
-        atoms.add(sig)
-        key = (cover.assign[z], sig)
-        assign.append(keys.setdefault(key, len(keys)))
-    part = Partition(w.mu, assign, len(keys))
-    bound = sauer_shelah_bound(m, f.n1 + f.n2 - 1)
+    centers, part, atoms = _cover_and_refine(w, eps, lambda rows: rows == 1.0)
+    bound = sauer_shelah_bound(len(centers), f.n1 + f.n2 - 1)
     if len(atoms) > bound:
         raise CertificationError(
             f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")
@@ -360,7 +391,7 @@ def edit_blowup_approx(g: Graph | StepGraphon, f, eps: float) -> BlowupApprox:
     report = thin_ultra_partition(w0, f, eps)
     part = report.partition
     assign = np.array(part.assign, dtype=int)
-    wp = aggregate(w0, part)
+    wp = _residual(w0, part)[1]
     reps = [cl[0] for cl in part.classes()]
     block = wp.w[np.ix_(reps, reps)]
     rounded = (block >= 0.5).astype(float)

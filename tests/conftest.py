@@ -132,6 +132,40 @@ def reference_aggregate(w, p):
     return np.clip(vals[np.ix_(assign, assign)], 0.0, 1.0)
 
 
+def reference_voronoi(m, centers):
+    """The per-step loop ``voronoi_partition`` replaced: a center claims
+    itself; any other step scans the centers in step order and keeps the
+    first strictly nearer one. Returns the assignment tuple."""
+    order = np.argsort(np.array(centers), kind="stable")
+    assign = []
+    for x in range(m.k):
+        if x in centers:
+            assign.append(centers.index(x))
+            continue
+        best = None, np.inf
+        for ci in order:
+            dxc = m.dist[x, centers[ci]]
+            if dxc < best[1]:
+                best = int(ci), float(dxc)
+        assign.append(best[0])
+    return tuple(assign)
+
+
+def reference_szemeredi_blocks(w, p):
+    """The per-block sum that ``szemeredi_error`` runs for every partition
+    and that its one-class shortcut replaced: ``rectangle_max`` on each
+    ordered class-pair block of mu_i mu_j (W - W_P)_ij, added up per sign."""
+    r = gl.difference(w, gl.aggregate(w, p))
+    a = r.mu[:, None] * r.mu[None, :] * r.w
+    pos = neg = 0.0
+    for si in p.classes():
+        for sj in p.classes():
+            block_pos, block_neg = gl.core.rectangle_max(a[np.ix_(si, sj)])
+            pos += block_pos
+            neg += block_neg
+    return max(pos, neg)
+
+
 def brute_szemeredi_error(w, p):
     """Every S x T inside every ordered class-pair block, both sides
     enumerated; the per-block optima add up per sign."""

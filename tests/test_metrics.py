@@ -6,7 +6,7 @@ import graphonlab as gl
 from graphonlab.metrics import _row_l1_matrix
 
 from conftest import (brute_packing, random_bigraphon, reference_purify, reference_row_l1,
-                      rng)
+                      reference_voronoi, rng)
 
 
 def test_neighborhood_metric_examples(k2_graphon):
@@ -284,6 +284,21 @@ def test_voronoi_ties_and_twin_centers():
     part = gl.voronoi_partition(m, [1, 0, 2])  # steps 0 and 1 are twins
     # each center keeps its own cell even at distance 0
     assert part.assign[0] == 1 and part.assign[1] == 0 and part.assign[2] == 2
+
+
+def test_voronoi_matches_the_reference_loop_on_exact_ties():
+    # half graphons put many steps at exactly equal distance from two
+    # centers; a split sphere step gives two rows at distance 0
+    hosts = [gl.zoo.half_graphon(n) for n in (6, 9, 16)]
+    hosts += [gl.split_step(gl.zoo.sphere_graphon(2, n, seed)[0], seed % n, 2)
+              for n, seed in ((12, 1), (30, 2), (50, 3))]
+    r = rng(23)
+    for w in hosts:
+        for m in (gl.neighborhood_metric(w), gl.similarity_metric(w)):
+            for size in (1, 2, 3, w.k // 2, w.k):
+                centers = [int(c) for c in r.permutation(w.k)[:size]]
+                part = gl.voronoi_partition(m, centers)
+                assert part.assign == reference_voronoi(m, centers)
 
 
 def test_metric_csv_export(k2_graphon):

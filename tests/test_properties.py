@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 import graphonlab as gl
 
-from conftest import reference_aggregate
+from conftest import reference_aggregate, reference_szemeredi_blocks
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def hosts(draw, values=st.floats(0.0, 1.0)):
-    """A graphon with 1..8 steps: positive measures, symmetric values."""
-    k = draw(st.integers(1, 8))
+def hosts(draw, values=st.floats(0.0, 1.0), max_k=8):
+    """A graphon with 1..max_k steps: positive measures, symmetric values."""
+    k = draw(st.integers(1, max_k))
     mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     a = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
     return gl.StepGraphon(mass / mass.sum(), np.triu(a) + np.triu(a, 1).T)
@@ -43,9 +43,9 @@ def test_purify_is_idempotent(w):
 
 
 @st.composite
-def partitioned_hosts(draw):
+def partitioned_hosts(draw, max_k=8):
     """A host and a partition of its steps into nonempty classes."""
-    w = draw(hosts())
+    w = draw(hosts(max_k=max_k))
     labels = draw(st.lists(st.integers(0, w.k - 1), min_size=w.k, max_size=w.k))
     _, assign = np.unique(labels, return_inverse=True)
     return w, gl.Partition(w.mu, assign.tolist(), int(assign.max()) + 1)
@@ -57,6 +57,32 @@ def test_cut_norm_below_l1_norm(wp):
     w, p = wp
     r = gl.difference(w, gl.aggregate(w, p))
     assert gl.cut_norm(r, mode="exact") <= gl.l1_norm(r) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_hosts(max_k=10))
+def test_cut_below_szemeredi_below_l1(wp):
+    w, p = wp
+    r = gl.difference(w, gl.aggregate(w, p))
+    cut = gl.partition_cut_error(w, p)
+    szemeredi = gl.szemeredi_error(w, p)
+    assert cut <= szemeredi + 1e-12
+    assert szemeredi <= gl.l1_norm(r) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(hosts(max_k=10))
+def test_one_class_szemeredi_error_is_the_cut_error(w):
+    # the one block is the whole matrix: the two suprema are one
+    # rectangle_max call, so they agree bit for bit, memoized or not
+    blocks = reference_szemeredi_blocks(w, gl.Partition.trivial(w.mu))
+    fresh = gl.Partition.trivial(w.mu)
+    assert gl.szemeredi_error(w, fresh) == blocks
+    assert gl.partition_cut_error(w, gl.Partition.trivial(w.mu)) == blocks
+    measured = gl.Partition.trivial(w.mu)
+    assert gl.partition_cut_error(w, measured) == blocks
+    assert gl.szemeredi_error(w, measured) == blocks
+    assert gl.partition_cut_error(w, fresh) == blocks
 
 
 @PROPERTY_SETTINGS

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,11 @@ def _certify_host():
     return w, gl.weak_partition_via_net(w, 0.05).partition
 
 
+def _fresh(p):
+    """A copy of ``p`` that has measured nothing yet."""
+    return gl.Partition(p.base, p.assign, p.c)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -115,20 +121,30 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_enumerations(monkeypatch):
+    """Calls of ``rectangle_max`` from either module that binds it."""
+    calls = _count_calls(monkeypatch, gl.core, "rectangle_max")
+    monkeypatch.setattr(gl.regularity, "rectangle_max", gl.core.rectangle_max)
+    return calls
+
+
 def _no_heuristic(monkeypatch):
     monkeypatch.setattr(gl.core, "_cut_norm_heuristic", lambda a, restarts, seed: 0.0)
 
 
 def test_net_from_partition_proves_its_check_from_the_heuristic(monkeypatch):
     w, p = _certify_host()
+    p = _fresh(p)
+    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
     exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
     _, cost = gl.net_from_partition(w, p)
-    assert exact == []
+    assert exact == [] and len(heuristic) == 1
     assert cost <= 4.0 * gl.partition_cut_error(w, p)
 
 
 def test_net_from_partition_exact_path_decides(monkeypatch):
     w, p = _certify_host()
+    p = _fresh(p)
     expected = gl.net_from_partition(w, p)
     _no_heuristic(monkeypatch)
     exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
@@ -138,11 +154,64 @@ def test_net_from_partition_exact_path_decides(monkeypatch):
 
 def test_net_from_partition_raises_when_exact_falls_short(monkeypatch):
     w, p = _certify_host()
+    p = _fresh(p)
     _, cost = gl.net_from_partition(w, p)
     _no_heuristic(monkeypatch)
     monkeypatch.setattr(gl.core, "rectangle_max", lambda a: (cost / 8.0, 0.0))
     with pytest.raises(gl.CertificationError):
         gl.net_from_partition(w, p)
+
+
+def test_szemeredi_error_reads_the_weak_reports_cut_norm(monkeypatch):
+    w = gl.zoo.random_stepfunction(20, seed=11)
+    weak = gl.weak_partition_via_net(w, 0.05)
+    assert weak.class_count == 1 and weak.exact
+    exact = _count_enumerations(monkeypatch)
+    assert gl.szemeredi_error(w, weak.partition) == weak.cut_error
+    assert gl.partition_cut_error(w, weak.partition) == weak.cut_error
+    assert exact == []
+
+
+def test_net_from_partition_reads_the_memoized_cut_norm(monkeypatch):
+    w, p = _certify_host()
+    expected = gl.net_from_partition(w, _fresh(p))
+    exact = _count_enumerations(monkeypatch)
+    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    assert gl.net_from_partition(w, p) == expected
+    assert exact == [] and heuristic == []
+
+
+def test_another_graphon_on_the_same_basis_is_measured_afresh(monkeypatch):
+    w, p = _certify_host()
+    twin = gl.StepGraphon(w.mu, w.w)  # equal values, another object
+    other = gl.zoo.random_stepfunction(20, seed=12)
+    other = gl.StepGraphon(w.mu, other.w)
+    exact = _count_enumerations(monkeypatch)
+    assert gl.szemeredi_error(w, p) == gl.partition_cut_error(w, p)
+    assert exact == []
+    assert gl.szemeredi_error(twin, p) == gl.szemeredi_error(w, _fresh(p))
+    assert len(exact) == 2
+    theirs = gl.szemeredi_error(other, p)
+    assert len(exact) == 3
+    assert theirs == gl.szemeredi_error(other, _fresh(p))
+    assert theirs != gl.szemeredi_error(w, p)
+    assert gl.net_from_partition(other, p) == gl.net_from_partition(other, _fresh(p))
+
+
+def test_memo_leaves_partitions_and_reports_unchanged(monkeypatch):
+    w = gl.zoo.random_stepfunction(20, seed=11)
+    weak = gl.weak_partition_via_net(w, 0.05)
+    p, q = weak.partition, _fresh(weak.partition)
+    exact = _count_enumerations(monkeypatch)
+    gl.szemeredi_error(w, p)
+    assert exact == []
+    assert [f.name for f in dataclasses.fields(gl.Partition)] == ["base", "assign", "c"]
+    assert p == p and repr(p) == repr(q)
+    assert (p.assign, p.c) == (q.assign, q.c) and np.array_equal(p.base, q.base)
+    again = gl.regularity._measured_report(w, q, "auto", centers=weak.centers,
+                                           net_cost=weak.net_cost,
+                                           certified_bound=weak.certified_bound)
+    assert again.to_dict() == weak.to_dict()
 
 
 def test_ultra_strong_separated_rows_is_exact():
