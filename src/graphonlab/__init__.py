@@ -14,7 +14,7 @@ from .densities import (bigraph_density, density, induced_density,
 from .errors import (BasisMismatchError, CertificationError, GraphonError,
                      HypothesisError, InvalidInputError, SizeLimitError)
 from .metrics import (MetricView, average_net, bigraphon_metrics, greedy_packing,
-                      neighborhood_distance, neighborhood_metric, packing_number,
+                      neighborhood_metric, packing_number,
                       packing_dimension_estimate, purify, similarity_metric,
                       triangle_violation, voronoi_partition)
 from .regularity import (BlowupApprox, PartitionReport, edit_blowup_approx,

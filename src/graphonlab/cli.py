@@ -65,16 +65,15 @@ def cmd_density(args) -> int:
 
 def cmd_partition(args) -> int:
     w = fileio.load_graphon(args.graphon)
-    cut_mode = "heuristic" if args.heuristic else "auto"
     extra = {}
     if args.variant == "weak":
         if args.eps_net is None:
             raise InvalidInputError("weak mode needs --eps-net")
-        report = regularity.weak_partition_via_net(w, args.eps_net, cut_mode=cut_mode)
+        report = regularity.weak_partition_via_net(w, args.eps_net)
     elif args.variant == "ultra":
         if args.eps is None:
             raise InvalidInputError("ultra mode needs --eps")
-        report = regularity.ultra_strong_partition(w, args.eps, cut_mode=cut_mode)
+        report = regularity.ultra_strong_partition(w, args.eps)
     else:
         if args.eps is None or args.pattern is None:
             raise InvalidInputError("thin mode needs --eps and --pattern")
@@ -93,8 +92,7 @@ def cmd_partition(args) -> int:
                 "quotient_edges": sorted(approx.quotient.edges),
             }}
         else:
-            report = regularity.thin_ultra_partition(w, pattern, args.eps,
-                                                     cut_mode=cut_mode)
+            report = regularity.thin_ultra_partition(w, pattern, args.eps)
     doc = {"kind": args.variant}
     doc.update(report.to_dict())
     if args.szemeredi:
@@ -192,22 +190,18 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import json
-
-    try:
-        with open(args.report) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"no such file: {args.report}")
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"{args.report}: invalid JSON: {e.msg}")
+    doc = fileio.load_json(args.report)
     kind = doc.get("kind", "weak")
-    bound = doc.get("certified_bound")
-    measured = doc.get(f"{CERTIFIED_ERROR.get(kind, 'l1')}_error")
+    cut, l1, bound = (doc.get(key) for key in ("cut_error", "l1_error", "certified_bound"))
+    for key, value in (("cut_error", cut), ("l1_error", l1), ("certified_bound", bound)):
+        # a JSON number or null; bool is an int subclass but not a number here
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise InvalidInputError(f"{args.report}: {key} must be a number")
+    measured = cut if CERTIFIED_ERROR.get(kind, "l1") == "cut" else l1
     lines = [f"kind: {kind}",
              f"classes: {len(doc.get('classes') or [])}",
-             f"cut_error: {doc.get('cut_error')} (exact: {doc.get('exact')})",
-             f"l1_error: {doc.get('l1_error')}"]
+             f"cut_error: {cut} (exact: {doc.get('exact')})",
+             f"l1_error: {l1}"]
     if doc.get("net_cost") is not None:
         lines.append(f"net_cost: {doc['net_cost']}")
     if doc.get("atom_count") is not None:
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thin mode: also emit the blow-up edit approximation")
     p.add_argument("--szemeredi", action="store_true",
                    help="also fill the exact Szemeredi error (k <= 20)")
-    p.add_argument("--heuristic", action="store_true", default=False)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_partition)
 

@@ -4,6 +4,9 @@ Everything here is a stepfunction: a symmetric matrix of values together
 with positive step measures summing to 1. All values are immutable after
 construction (arrays are copied in and marked read-only), and every
 operation is a pure function, so concurrent use on shared inputs is safe.
+The value types that hold arrays (kernels, graphons, bigraphons and
+partitions) compare and hash by identity, so any of them can key a dict;
+``Graph`` and ``Bigraph`` compare by value.
 
 One derived quantity is kept: a ``Partition`` remembers the residual
 W - W_P of the last graphon it was measured against (and, once computed,
@@ -41,11 +44,24 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _measure_vector(mu, name: str = "mu") -> np.ndarray:
+    """``mu`` frozen as step measures: a nonempty 1-d vector of positive
+    entries summing to 1 within ``MEASURE_TOL``."""
+    mu = _frozen_array(mu)
+    if mu.ndim != 1 or mu.size == 0:
+        raise InvalidInputError(f"{name} must be a nonempty 1-d vector")
+    if np.any(mu <= 0.0):
+        raise InvalidInputError("steps of zero or negative measure are rejected")
+    if abs(float(mu.sum()) - 1.0) > MEASURE_TOL:
+        raise InvalidInputError(f"{name} must sum to 1 (tolerance 1e-9)")
+    return mu
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepKernel:
     """Symmetric step-constant function on a finite measured partition.
 
@@ -62,17 +78,11 @@ class StepKernel:
     _value_hi = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _frozen_array(self.mu))
+        object.__setattr__(self, "mu", _measure_vector(self.mu))
         object.__setattr__(self, "w", _frozen_array(self.w))
-        if self.mu.ndim != 1 or self.mu.size == 0:
-            raise InvalidInputError("mu must be a nonempty 1-d vector")
         k = self.mu.size
         if self.w.shape != (k, k):
             raise InvalidInputError(f"value matrix must be {k}x{k}, got {self.w.shape}")
-        if np.any(self.mu <= 0.0):
-            raise InvalidInputError("steps of zero or negative measure are rejected")
-        if abs(float(self.mu.sum()) - 1.0) > MEASURE_TOL:
-            raise InvalidInputError("step measures must sum to 1 (tolerance 1e-9)")
         if not np.array_equal(self.w, self.w.T):
             raise InvalidInputError("value matrix must be exactly symmetric")
         if np.any(self.w < self._value_lo) or np.any(self.w > self._value_hi):
@@ -84,7 +94,7 @@ class StepKernel:
         return self.mu.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepGraphon(StepKernel):
     """Stepfunction graphon: a StepKernel with values in [0, 1]."""
 
@@ -95,7 +105,7 @@ class StepGraphon(StepKernel):
         return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepBigraphon:
     """Step-constant bigraphon on a product of two measured partitions."""
 
@@ -104,16 +114,9 @@ class StepBigraphon:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu1", _frozen_array(self.mu1))
-        object.__setattr__(self, "mu2", _frozen_array(self.mu2))
+        object.__setattr__(self, "mu1", _measure_vector(self.mu1, "mu1"))
+        object.__setattr__(self, "mu2", _measure_vector(self.mu2, "mu2"))
         object.__setattr__(self, "w", _frozen_array(self.w))
-        for mu, side in ((self.mu1, "mu1"), (self.mu2, "mu2")):
-            if mu.ndim != 1 or mu.size == 0:
-                raise InvalidInputError(f"{side} must be a nonempty 1-d vector")
-            if np.any(mu <= 0.0):
-                raise InvalidInputError("steps of zero or negative measure are rejected")
-            if abs(float(mu.sum()) - 1.0) > MEASURE_TOL:
-                raise InvalidInputError(f"{side} must sum to 1 (tolerance 1e-9)")
         if self.w.shape != (self.mu1.size, self.mu2.size):
             raise InvalidInputError("value matrix shape does not match measures")
         if np.any(self.w < 0.0) or np.any(self.w > 1.0):
@@ -190,7 +193,7 @@ class Bigraph:
         object.__setattr__(self, "edges", frozenset(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of base steps to classes.
 
@@ -201,8 +204,8 @@ class Partition:
     ``_residual`` is not a field: it is the memo that ``regularity`` keeps
     of the last graphon W this partition was measured against, as one
     tuple (W, W_P, W - W_P, exact cut norm of W - W_P or None), matched to
-    W by identity and replaced whole. Equality, ``repr`` and the file
-    formats ignore it, and it lives exactly as long as the partition.
+    W by identity and replaced whole. ``repr`` and the file formats ignore
+    it, and it lives exactly as long as the partition.
     """
 
     base: np.ndarray
@@ -251,9 +254,9 @@ class Partition:
         np.add.at(m, np.array(self.assign, dtype=int), self.base)
         return m
 
-    def matches(self, g) -> bool:
-        mu = g.mu if hasattr(g, "mu") else np.asarray(g, dtype=float)
-        return mu.size == self.base.size and float(np.max(np.abs(mu - self.base))) <= MEASURE_TOL
+    def matches(self, w: StepKernel) -> bool:
+        return (w.k == self.base.size
+                and float(np.max(np.abs(w.mu - self.base))) <= MEASURE_TOL)
 
 
 def check_basis(p: Partition, w: StepGraphon) -> None:
@@ -403,7 +406,7 @@ def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
     return best
 
 
-def cut_norm(r: StepKernel, mode: str = "exact", seed: int = 0) -> float:
+def cut_norm(r: StepKernel, mode: str = "exact") -> float:
     """Cut norm sup_{S,T} |sum_{i in S, j in T} mu_i mu_j r_ij|.
 
     For stepfunctions the supremum over measurable sets is attained on
@@ -412,11 +415,11 @@ def cut_norm(r: StepKernel, mode: str = "exact", seed: int = 0) -> float:
     (k <= 24) is ``rectangle_max``: all 2^k row subsets, with the optimal
     column set per sign, in O(2^k k) time and bounded working memory,
     after dropping zero rows and columns. Heuristic mode runs an
-    alternating sign-greedy ascent from 20 seeded random restarts and
-    returns a lower bound: every value it reaches is the sum of an actual
-    rectangle. An all-zero kernel (such as W - W_P on an all-singletons
-    partition) returns 0.0 in either mode without any search, after the
-    exact mode's size guard.
+    alternating sign-greedy ascent from 20 random restarts under the fixed
+    seed 0, so it is deterministic, and returns a lower bound: every value
+    it reaches is the sum of an actual rectangle. An all-zero kernel (such
+    as W - W_P on an all-singletons partition) returns 0.0 in either mode
+    without any search, after the exact mode's size guard.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown cut norm mode {mode!r}")
@@ -428,7 +431,7 @@ def cut_norm(r: StepKernel, mode: str = "exact", seed: int = 0) -> float:
         return 0.0
     if mode == "exact":
         return max(rectangle_max(a))
-    return _cut_norm_heuristic(a, restarts=20, seed=seed)
+    return _cut_norm_heuristic(a, restarts=20, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,20 @@ def dumps_canonical(obj) -> str:
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_json(path) -> dict:
+def load_json(path) -> dict:
+    """The JSON object in the file at ``path``; a missing file, invalid
+    JSON or any other top-level value (an array, a number) is an input
+    error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise InvalidInputError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise InvalidInputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _number_array(path, key: str, value) -> np.ndarray:
@@ -80,7 +86,7 @@ def write_graphon(path, w: StepGraphon) -> None:
 
 
 def load_graphon(path) -> StepGraphon:
-    d = _load_json(path)
+    d = load_json(path)
     try:
         k, mu, w = int(d["k"]), d["mu"], d["w"]
     except (KeyError, TypeError, ValueError):
@@ -101,7 +107,7 @@ def write_bigraphon(path, w: StepBigraphon) -> None:
 
 
 def load_bigraphon(path) -> StepBigraphon:
-    d = _load_json(path)
+    d = load_json(path)
     try:
         mu1, mu2, w = d["mu1"], d["mu2"], d["w"]
     except (KeyError, TypeError):
@@ -189,7 +195,7 @@ def write_partition(path, p: Partition) -> None:
 
 
 def load_partition(path, base) -> Partition:
-    d = _load_json(path)
+    d = load_json(path)
     classes = d.get("classes")
     if not isinstance(classes, list):
         raise InvalidInputError(f"{path}: expected a 'classes' list")
@@ -217,7 +223,7 @@ def write_family(path, h: SetFamily) -> None:
 
 
 def load_family(path) -> SetFamily:
-    d = _load_json(path)
+    d = load_json(path)
     try:
         m, sets = int(d["m"]), d["sets"]
     except (KeyError, TypeError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEASURE_TOL, Partition, StepBigraphon, StepGraphon, _frozen_array, aggregate,
-                   square)
+from .core import (Partition, StepBigraphon, StepGraphon, _frozen_array, _measure_vector,
+                   aggregate, square)
 from .errors import InvalidInputError, SizeLimitError
 
 #: twins are merged below this neighborhood distance
@@ -29,7 +29,7 @@ PACKING_MAX_POINTS = 20
 TRIANGLE_CHECK_MAX = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricView:
     """Finite measured metric space: one point per step.
 
@@ -42,13 +42,11 @@ class MetricView:
     dist: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _frozen_array(self.mu))
+        object.__setattr__(self, "mu", _measure_vector(self.mu))
         object.__setattr__(self, "dist", _frozen_array(self.dist))
         k = self.mu.size
         if self.dist.shape != (k, k):
             raise InvalidInputError("distance matrix shape does not match measures")
-        if np.any(self.mu <= 0) or abs(float(self.mu.sum()) - 1.0) > MEASURE_TOL:
-            raise InvalidInputError("measures must be positive and sum to 1")
         if np.any(self.dist < 0):
             raise InvalidInputError("distances must be nonnegative")
         if np.any(np.diag(self.dist) != 0.0):
@@ -112,11 +110,6 @@ def neighborhood_metric(w: StepGraphon) -> MetricView:
     return MetricView(w.mu, _row_l1_matrix(w.w, w.mu))
 
 
-def neighborhood_distance(w: StepGraphon, i: int, j: int) -> float:
-    """Single r_W entry without building the full matrix."""
-    return float(np.abs(w.w[i] - w.w[j]) @ w.mu)
-
-
 def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
     """Row metric r_1 and column metric r_2 of a bigraphon."""
     r1 = MetricView(w.mu1, _row_l1_matrix(w.w, w.mu2))
@@ -129,14 +122,14 @@ def similarity_metric(w: StepGraphon) -> MetricView:
     return neighborhood_metric(square(w))
 
 
-def purify(w: StepGraphon, tol: float = TWIN_TOL) -> tuple[StepGraphon, list[int]]:
-    """Merge twin steps (neighborhood distance <= tol).
+def purify(w: StepGraphon) -> tuple[StepGraphon, list[int]]:
+    """Merge twin steps (neighborhood distance <= ``TWIN_TOL``, 1e-9).
 
-    Twins at tolerance form connected components, numbered by their
-    lowest step; the returned mapping sends each old step to its
-    component. Measures of merged steps are added and their values are
-    the measure-weighted block averages of ``aggregate`` on that
-    partition. The output has all pairwise r_W above tol.
+    Twins form connected components, numbered by their lowest step; the
+    returned mapping sends each old step to its component. Measures of
+    merged steps are added and their values are the measure-weighted
+    block averages of ``aggregate`` on that partition. The output has all
+    pairwise r_W above ``TWIN_TOL``.
     """
     d = _row_l1_matrix(w.w, w.mu)
     mapping = np.full(w.k, -1)
@@ -147,7 +140,7 @@ def purify(w: StepGraphon, tol: float = TWIN_TOL) -> tuple[StepGraphon, list[int
         mapping[i] = len(roots)
         stack = [i]
         while stack:
-            near = np.flatnonzero((d[stack.pop()] <= tol) & (mapping < 0))
+            near = np.flatnonzero((d[stack.pop()] <= TWIN_TOL) & (mapping < 0))
             mapping[near] = mapping[i]
             stack.extend(near.tolist())
         roots.append(i)

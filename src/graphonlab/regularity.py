@@ -46,8 +46,10 @@ def within_bound(value: float, bound: float | None) -> bool:
 class PartitionReport:
     """Partition plus its measured errors and the certified bound.
 
-    ``exact`` says whether cut_error is the exact cut norm (k <= 24) or a
-    heuristic lower bound. ``atom_count``/``sauer_bound`` are filled by the
+    ``exact`` is True if and only if the graphon has k <= 24 steps
+    (``CUT_NORM_MAX_STEPS``): cut_error is then the exact cut norm of
+    W - W_P, and otherwise the heuristic lower bound, which certifies
+    nothing. ``atom_count``/``sauer_bound`` are filled by the
     thin variant only.
     """
 
@@ -104,8 +106,10 @@ def _residual(w: StepGraphon, p: Partition) -> tuple:
     return memo
 
 
-def _exact_cut(w: StepGraphon, p: Partition) -> float:
-    """Exact cut norm of W - W_P, enumerated at most once per memo."""
+def partition_cut_error(w: StepGraphon, p: Partition) -> float:
+    """Exact cut norm of W - W_P; above k = 24 steps it raises
+    ``SizeLimitError``. The residual and the value are memoized on ``p``
+    for this graphon object, so the 2^k enumeration runs at most once."""
     memo = _residual(w, p)
     if memo[3] is None:
         memo = memo[:3] + (cut_norm(memo[2], mode="exact"),)
@@ -113,32 +117,24 @@ def _exact_cut(w: StepGraphon, p: Partition) -> float:
     return memo[3]
 
 
-def _measured_report(w: StepGraphon, part: Partition, cut_mode: str,
-                     check_l1: bool = False, **fields) -> PartitionReport:
-    """Report of ``part`` with the errors of W - W_P measured: the cut norm
-    (exact when k allows) and the L1 norm. With ``check_l1`` an L1 error
-    above the certified bound raises."""
+def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
+                     **fields) -> PartitionReport:
+    """Report of ``part`` with the errors of W - W_P measured: the L1 norm,
+    and the one decision on how the cut norm is measured: exactly when
+    k <= ``CUT_NORM_MAX_STEPS``, else by the heuristic lower bound. With
+    ``check_l1`` an L1 error above the certified bound raises."""
     diff = _residual(w, part)[2]
-    if cut_mode == "auto":
-        cut_mode = "exact" if diff.k <= CUT_NORM_MAX_STEPS else "heuristic"
-    report = PartitionReport(partition=part, cut_error=partition_cut_error(w, part, cut_mode),
-                             l1_error=l1_norm(diff), exact=cut_mode == "exact", **fields)
+    exact = diff.k <= CUT_NORM_MAX_STEPS
+    cut = partition_cut_error(w, part) if exact else cut_norm(diff, mode="heuristic")
+    report = PartitionReport(partition=part, cut_error=cut, l1_error=l1_norm(diff),
+                             exact=exact, **fields)
     if check_l1 and not report.certified("l1"):
         raise CertificationError(f"L1 error {report.l1_error:.6g} exceeded the "
                                  f"certified bound {report.certified_bound:.6g}")
     return report
 
 
-def partition_cut_error(w: StepGraphon, p: Partition, mode: str = "exact") -> float:
-    """Cut norm of W - W_P (exact needs k <= 24). The residual and the exact
-    value are memoized on ``p`` for this graphon object."""
-    if mode == "exact":
-        return _exact_cut(w, p)
-    return cut_norm(_residual(w, p)[2], mode=mode)
-
-
-def weak_partition_via_net(w: StepGraphon, eps_net: float,
-                           cut_mode: str = "auto") -> PartitionReport:
+def weak_partition_via_net(w: StepGraphon, eps_net: float) -> PartitionReport:
     """Weak regularity partition from an average eps-net in the similarity
     metric; the Voronoi cells of the net have cut error at most
     8 sqrt(achieved net cost)."""
@@ -147,7 +143,7 @@ def weak_partition_via_net(w: StepGraphon, eps_net: float,
     sim = similarity_metric(w)
     centers, cost = average_net(sim, eps_net)
     part = voronoi_partition(sim, centers)
-    return _measured_report(w, part, cut_mode, centers=centers, net_cost=cost,
+    return _measured_report(w, part, centers=centers, net_cost=cost,
                             certified_bound=8.0 * math.sqrt(cost))
 
 
@@ -173,7 +169,7 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     if w.k > SZEMEREDI_MAX_STEPS:
         raise SizeLimitError(f"exact Szemeredi error limited to {SZEMEREDI_MAX_STEPS} steps")
     if p.c == 1:
-        return _exact_cut(w, p)
+        return partition_cut_error(w, p)
     r = _residual(w, p)[2]
     a = r.mu[:, None] * r.mu[None, :] * r.w
     cls = p.classes()
@@ -215,7 +211,7 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     if w.k <= CUT_NORM_MAX_STEPS:
         proven = memo[3] is None and within_bound(cost, 4.0 * cut_norm(r, mode="heuristic"))
         if not proven:
-            cut = _exact_cut(w, p)
+            cut = partition_cut_error(w, p)
             if not within_bound(cost, 4.0 * cut):
                 raise CertificationError(
                     f"net cost {cost} exceeded 4x cut error {cut}")
@@ -238,8 +234,7 @@ def _cover_and_refine(w: StepGraphon, eps: float, label) -> tuple[list[int], Par
     return centers, Partition(w.mu, assign, len(keys)), set(labels)
 
 
-def ultra_strong_partition(w: StepGraphon, eps: float,
-                           cut_mode: str = "auto") -> PartitionReport:
+def ultra_strong_partition(w: StepGraphon, eps: float) -> PartitionReport:
     """Ultra-strong (L1) regularity partition with error eps.
 
     Covers (J, r_W) by balls of radius eps/4 around maximal-packing
@@ -259,12 +254,10 @@ def ultra_strong_partition(w: StepGraphon, eps: float,
     m = len(centers)
     if part.c > m * nbands ** m:
         raise CertificationError("class count exceeded m ceil(1/eps)^m")
-    return _measured_report(w, part, cut_mode, check_l1=True, centers=centers,
-                            certified_bound=eps)
+    return _measured_report(w, part, check_l1=True, centers=centers, certified_bound=eps)
 
 
-def thin_ultra_partition(w: StepGraphon, f, eps: float,
-                         cut_mode: str = "auto") -> PartitionReport:
+def thin_ultra_partition(w: StepGraphon, f, eps: float) -> PartitionReport:
     """Ultra-strong partition of a 0-1 graphon excluding the bigraph f.
 
     Verifies t^b_ind(f, W) = 0 exactly through the bigraph kernel
@@ -290,7 +283,7 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float,
     if len(atoms) > bound:
         raise CertificationError(
             f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")
-    return _measured_report(w, part, cut_mode, check_l1=True, centers=centers,
+    return _measured_report(w, part, check_l1=True, centers=centers,
                             certified_bound=eps, atom_count=len(atoms), sauer_bound=bound)
 
 
@@ -339,7 +332,7 @@ def equalize(w: StepGraphon, p: Partition, eps: float) -> tuple[StepGraphon, Par
     if dev > tol + 1e-12:
         raise CertificationError(
             f"equalized class measures deviate by {dev:.3g} > {tol:.3g}")
-    if w.k <= CUT_NORM_MAX_STEPS and new_w.k <= CUT_NORM_MAX_STEPS:
+    if new_w.k <= CUT_NORM_MAX_STEPS:  # splitting never lowers k, so w.k fits too
         before = partition_cut_error(w, p)
         after = partition_cut_error(new_w, new_p)
         if not within_bound(after, 2.0 * before):

@@ -54,7 +54,7 @@ def _mask_to_set(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFamily:
     """Family of subsets of [0, m), deduplicated, in first-seen order."""
 

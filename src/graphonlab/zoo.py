@@ -152,7 +152,7 @@ def random_stepfunction(k: int, seed: int, zero_one: bool = False) -> StepGrapho
     return StepGraphon(np.full(k, 1.0 / k), w)
 
 
-def random_kernel(k: int, seed: int, uniform_measures: bool = False):
+def random_kernel(k: int, seed: int):
     """Signed StepKernel test corpus: values in [-1,1], random measures."""
     from .core import StepKernel
 
@@ -162,9 +162,5 @@ def random_kernel(k: int, seed: int, uniform_measures: bool = False):
     vals = rng.uniform(-1.0, 1.0, (k, k))
     upper = np.triu(vals)
     w = upper + np.triu(upper, 1).T
-    if uniform_measures:
-        mu = np.full(k, 1.0 / k)
-    else:
-        mu = rng.random(k) + 0.1
-        mu = mu / mu.sum()
-    return StepKernel(mu, w)
+    mu = rng.random(k) + 0.1
+    return StepKernel(mu / mu.sum(), w)

@@ -234,6 +234,30 @@ def test_report_subcommand(workdir):
     assert "PASS" in out
 
 
+def test_report_of_a_json_array_exit_2(workdir, capsys):
+    (workdir / "rep.json").write_text("[1, 2]")
+    assert main(["report", str(workdir / "rep.json")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("certified_bound", "0.5"), ("l1_error", "0.1"),
+                                        ("cut_error", True)])
+def test_report_with_a_non_numeric_value_exit_2(workdir, capsys, key, value):
+    doc = {"kind": "ultra", "classes": [[0]], "cut_error": 0.1, "l1_error": 0.1,
+           "certified_bound": 0.5, "exact": True}
+    doc[key] = value
+    (workdir / "rep.json").write_text(json.dumps(doc))
+    assert main(["report", str(workdir / "rep.json")]) == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+
+
+def test_partition_heuristic_flag_is_gone(workdir):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "weak", str(workdir / "half8.graphon"), "--eps-net", "0.05",
+              "--heuristic"])
+    assert exc.value.code == 2
+
+
 def test_size_guard_exit_4(workdir):
     fileio.write_graphon(workdir / "big.graphon", gl.zoo.random_stepfunction(26, seed=1))
     fileio.write_graph(workdir / "k9.graph", gl.Graph.complete(9))

@@ -84,6 +84,24 @@ def test_values_immutable(k2_graphon):
         k2_graphon.w[0, 0] = 1.0
 
 
+def test_array_value_types_compare_and_hash_by_identity():
+    mu = np.array([0.25, 0.75])
+    vals = np.array([[0.0, 1.0], [1.0, 0.5]])
+    builders = [lambda: gl.StepKernel(mu, vals), lambda: gl.StepGraphon(mu, vals),
+                lambda: gl.StepBigraphon(mu, mu, vals), lambda: gl.Partition(mu, [0, 1]),
+                lambda: gl.MetricView(mu, np.array([[0.0, 1.0], [1.0, 0.0]])),
+                lambda: gl.SetFamily(2, [[0], [1]], mu)]
+    for build in builders:
+        a, b = build(), build()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b"
+    # the pattern types keep value equality
+    assert gl.Graph(3, [(0, 1)]) == gl.Graph(3, [(1, 0)])
+    assert hash(gl.Bigraph(2, 2, [(0, 1)])) == hash(gl.Bigraph(2, 2, [(0, 1)]))
+
+
 def test_operator_product_examples(k2_graphon):
     sq = gl.operator_product(k2_graphon, k2_graphon)
     assert np.allclose(sq.w, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)

@@ -120,3 +120,10 @@ def test_invalid_json_reports_line(tmp_path):
     path.write_text('{"k": 1,\n "mu": [1.0],\n "w": [[0.5]')
     with pytest.raises(gl.InvalidInputError, match="line"):
         fileio.load_graphon(path)
+
+
+def test_a_json_array_is_an_input_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("[[0], [1]]")
+    with pytest.raises(gl.InvalidInputError, match="JSON object"):
+        fileio.load_partition(path, np.array([0.5, 0.5]))

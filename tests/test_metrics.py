@@ -108,6 +108,11 @@ def test_metric_view_validation():
                       np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]]))
 
 
+def test_metric_view_rejects_a_2d_measure():
+    with pytest.raises(gl.InvalidInputError, match="1-d"):
+        gl.MetricView(np.array([[0.5, 0.5]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def test_metric_view_rejects_non_finite():
     with pytest.raises(gl.InvalidInputError, match="finite"):
         gl.MetricView(np.array([0.5, 0.5]), np.array([[0.0, np.nan], [np.nan, 0.0]]))

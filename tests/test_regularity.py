@@ -433,3 +433,20 @@ def test_l1_partitions_raise_when_l1_exceeds_eps(monkeypatch, build):
     monkeypatch.setattr(gl.regularity, "l1_norm", lambda r: 0.5)
     with pytest.raises(gl.CertificationError):
         build(gl.zoo.half_graphon(8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: gl.weak_partition_via_net(w, 0.05),
+    lambda w: gl.ultra_strong_partition(w, 0.3),
+], ids=["weak", "ultra"])
+def test_report_cut_error_is_exact_iff_k_at_most_24(build):
+    at = gl.zoo.half_graphon(24)
+    rep = build(at)
+    assert rep.exact and rep.cut_error == gl.partition_cut_error(at, rep.partition)
+    above = gl.zoo.half_graphon(25)
+    rep = build(above)
+    residual = gl.difference(above, gl.aggregate(above, rep.partition))
+    assert not rep.exact and rep.cut_error > 0.0
+    assert rep.cut_error == gl.cut_norm(residual, mode="heuristic")
+    with pytest.raises(gl.SizeLimitError):
+        gl.partition_cut_error(above, rep.partition)
