@@ -163,14 +163,10 @@ def cmd_zoo(args) -> int:
         w, _ = zoo.sphere_graphon(args.dim, args.n, args.seed)
         fileio.write_graphon(args.output, w)
     elif kind == "metric":
-        try:
-            dist = np.loadtxt(args.dist, delimiter=",", ndmin=2)
-        except OSError:
-            raise InvalidInputError(f"no such file: {args.dist}")
-        mu = None
-        if args.mu:
-            mu = np.loadtxt(args.mu, delimiter=",", ndmin=1)
-        fileio.write_graphon(args.output, zoo.metric_graphon(dist, mu))
+        if not args.dist:
+            raise InvalidInputError("zoo metric needs --dist")
+        mu = np.atleast_1d(fileio.load_csv(args.mu).squeeze()) if args.mu else None
+        fileio.write_graphon(args.output, zoo.metric_graphon(fileio.load_csv(args.dist), mu))
     elif kind == "half":
         fileio.write_graphon(args.output, zoo.half_graphon(args.n))
     elif kind == "binary":
@@ -190,16 +186,11 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = fileio.load_json(args.report)
-    kind = doc.get("kind", "weak")
+    doc = fileio.load_report(args.report)
     cut, l1, bound = (doc.get(key) for key in ("cut_error", "l1_error", "certified_bound"))
-    for key, value in (("cut_error", cut), ("l1_error", l1), ("certified_bound", bound)):
-        # a JSON number or null; bool is an int subclass but not a number here
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise InvalidInputError(f"{args.report}: {key} must be a number")
-    measured = cut if CERTIFIED_ERROR.get(kind, "l1") == "cut" else l1
-    lines = [f"kind: {kind}",
-             f"classes: {len(doc.get('classes') or [])}",
+    measured = cut if CERTIFIED_ERROR.get(doc["kind"], "l1") == "cut" else l1
+    lines = [f"kind: {doc['kind']}",
+             f"classes: {len(doc['classes'])}",
              f"cut_error: {cut} (exact: {doc.get('exact')})",
              f"l1_error: {l1}"]
     if doc.get("net_cost") is not None:

@@ -254,14 +254,14 @@ class Partition:
         np.add.at(m, np.array(self.assign, dtype=int), self.base)
         return m
 
-    def matches(self, w: StepKernel) -> bool:
-        return (w.k == self.base.size
-                and float(np.max(np.abs(w.mu - self.base))) <= MEASURE_TOL)
+
+def _require_same_basis(mu: np.ndarray, nu: np.ndarray) -> None:
+    if mu.size != nu.size or float(np.max(np.abs(mu - nu))) > MEASURE_TOL:
+        raise BasisMismatchError("operands must share step count and measures")
 
 
 def check_basis(p: Partition, w: StepGraphon) -> None:
-    if not p.matches(w):
-        raise BasisMismatchError("partition base does not match the graphon's steps")
+    _require_same_basis(p.base, w.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +295,8 @@ def as_bigraphon(w: StepGraphon) -> StepBigraphon:
 
 def difference(u: StepGraphon | StepKernel, w: StepGraphon | StepKernel) -> StepKernel:
     """Signed kernel u - w on a shared basis."""
-    _require_same_basis(u, w)
+    _require_same_basis(u.mu, w.mu)
     return StepKernel(u.mu, u.w - w.w)
-
-
-def _require_same_basis(u, w) -> None:
-    if u.k != w.k or float(np.max(np.abs(u.mu - w.mu))) > MEASURE_TOL:
-        raise BasisMismatchError("operands must share step count and measures")
 
 
 def operator_product_values(u_values: np.ndarray, w_values: np.ndarray,
@@ -318,7 +313,7 @@ def operator_product(u: StepGraphon, w: StepGraphon) -> StepGraphon:
     that comes out asymmetric would be a digraphon, which this library
     does not represent; such inputs are rejected.
     """
-    _require_same_basis(u, w)
+    _require_same_basis(u.mu, w.mu)
     m = operator_product_values(u.w, w.w, u.mu)
     if float(np.max(np.abs(m - m.T))) > 1e-12:
         raise InvalidInputError(

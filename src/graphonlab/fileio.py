@@ -1,9 +1,10 @@
 """File formats and canonical serialization.
 
-Graphons and bigraphons are JSON; graphs and bigraphs are whitespace text
-("n m" header then one edge per line); partitions and set families are
-JSON. Writers emit floats at full precision (17 significant digits) with
-a fixed key order, so identical objects serialize to identical bytes.
+Graphons, bigraphons, partitions, set families and partition reports are
+JSON; graphs and bigraphs are edge lists (a header of node counts and the
+edge count, then one edge per line); metric matrices are CSV. Writers
+emit floats at full precision (17 significant digits) with a fixed key
+order, so identical objects serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -136,10 +137,28 @@ def _read_lines(path) -> list[str]:
         raise InvalidInputError(f"no such file: {path}")
 
 
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
+def _edge_list_text(node_counts: tuple, edges) -> str:
+    lines = [" ".join(str(n) for n in (*node_counts, len(edges)))]
+    lines += [f"{u} {v}" for u, v in sorted(edges)]
     return "\n".join(lines) + "\n"
+
+
+def _load_edge_list(path, build, node_counts: int):
+    lines = _read_lines(path)
+    if not lines:
+        raise InvalidInputError(f"{path}: empty edge-list file")
+    *counts, m = _parse_ints(lines[0], node_counts + 1, path, 1)
+    if len(lines) - 1 != m:
+        raise InvalidInputError(f"{path}: header says {m} edges, found {len(lines) - 1}")
+    edges = [_parse_ints(ln, 2, path, i + 2) for i, ln in enumerate(lines[1:])]
+    try:
+        return build(*counts, edges)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}")
+
+
+def graph_to_text(g: Graph) -> str:
+    return _edge_list_text((g.n,), g.edges)
 
 
 def write_graph(path, g: Graph) -> None:
@@ -147,23 +166,11 @@ def write_graph(path, g: Graph) -> None:
 
 
 def load_graph(path) -> Graph:
-    lines = _read_lines(path)
-    if not lines:
-        raise InvalidInputError(f"{path}: empty graph file")
-    n, m = _parse_ints(lines[0], 2, path, 1)
-    if len(lines) - 1 != m:
-        raise InvalidInputError(f"{path}: header says {m} edges, found {len(lines) - 1}")
-    edges = [_parse_ints(ln, 2, path, i + 2) for i, ln in enumerate(lines[1:])]
-    try:
-        return Graph(n, edges)
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}")
+    return _load_edge_list(path, Graph, 1)
 
 
 def bigraph_to_text(b: Bigraph) -> str:
-    lines = [f"{b.n1} {b.n2} {len(b.edges)}"]
-    lines += [f"{u} {v}" for u, v in sorted(b.edges)]
-    return "\n".join(lines) + "\n"
+    return _edge_list_text((b.n1, b.n2), b.edges)
 
 
 def write_bigraph(path, b: Bigraph) -> None:
@@ -171,17 +178,7 @@ def write_bigraph(path, b: Bigraph) -> None:
 
 
 def load_bigraph(path) -> Bigraph:
-    lines = _read_lines(path)
-    if not lines:
-        raise InvalidInputError(f"{path}: empty bigraph file")
-    n1, n2, m = _parse_ints(lines[0], 3, path, 1)
-    if len(lines) - 1 != m:
-        raise InvalidInputError(f"{path}: header says {m} edges, found {len(lines) - 1}")
-    edges = [_parse_ints(ln, 2, path, i + 2) for i, ln in enumerate(lines[1:])]
-    try:
-        return Bigraph(n1, n2, edges)
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}")
+    return _load_edge_list(path, Bigraph, 2)
 
 
 # -- partitions and set families --------------------------------------------
@@ -230,3 +227,43 @@ def load_family(path) -> SetFamily:
         raise InvalidInputError(f"{path}: expected keys m, weights, sets")
     weights = d.get("weights")
     return SetFamily(m, sets, None if weights is None else _number_array(path, "weights", weights))
+
+
+# -- reports and CSV matrices -----------------------------------------------
+
+def _is_number(value) -> bool:
+    # a JSON number; bool is an int subclass but not a number here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_report(path) -> dict:
+    """A partition report with every field that ``graphonlab report`` reads
+    checked; ``kind`` defaults to "weak" and ``classes`` to []."""
+    doc = {"kind": "weak", "classes": [], **load_json(path)}
+    edit = doc.get("edit")
+    checks = {"kind must be a string": isinstance(doc["kind"], str),
+              "classes must be a list": isinstance(doc["classes"], list),
+              "edit must be an object with numeric changed_cells and cell_bound":
+                  "edit" not in doc or isinstance(edit, dict) and all(
+                      _is_number(edit.get(key)) for key in ("changed_cells", "cell_bound")),
+              **{f"{key} must be a number": doc.get(key) is None or _is_number(doc[key])
+                 for key in ("cut_error", "l1_error", "certified_bound")}}
+    for message, ok in checks.items():
+        if not ok:
+            raise InvalidInputError(f"{path}: {message}")
+    return doc
+
+
+def load_csv(path) -> np.ndarray:
+    """The nonempty table of numbers in a comma-separated file, as a 2-d
+    float array. A first row reading 0, 1, ..., k-1 above k rows of k
+    numbers is a header (as ``MetricView.to_csv`` writes) and is dropped."""
+    rows = [ln.split(",") for ln in _read_lines(path)]
+    try:
+        table = np.array(rows).astype(float)
+    except ValueError:
+        table = None
+    if not rows or table is None:
+        raise InvalidInputError(f"{path}: expected a rectangular table of comma-separated numbers")
+    k = table.shape[1]
+    return table[1:] if len(table) == k + 1 and np.array_equal(table[0], np.arange(k)) else table

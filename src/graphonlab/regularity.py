@@ -29,7 +29,6 @@ from .metrics import (average_net, greedy_packing, neighborhood_metric, similari
 from .setsystems import sauer_shelah_bound
 
 SZEMEREDI_MAX_STEPS = 20
-MAX_CLASSES = 1_000_000
 SLACK = 1e-9
 
 #: the error each partition variant certifies: the cut norm or the L1 norm
@@ -57,7 +56,6 @@ class PartitionReport:
     cut_error: float
     l1_error: float
     centers: list | None = None
-    szemeredi_error: float | None = None
     net_cost: float | None = None
     certified_bound: float | None = None
     exact: bool = True
@@ -82,7 +80,7 @@ class PartitionReport:
             "centers": list(self.centers) if self.centers is not None else None,
             "cut_error": self.cut_error,
             "l1_error": self.l1_error,
-            "szemeredi_error": self.szemeredi_error,
+            "szemeredi_error": None,  # filled by ``partition --szemeredi``
             "net_cost": self.net_cost,
             "certified_bound": self.certified_bound,
             "exact": self.exact,
@@ -246,8 +244,6 @@ def ultra_strong_partition(w: StepGraphon, eps: float) -> PartitionReport:
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
-    if w.k > MAX_CLASSES:
-        raise SizeLimitError("too many steps for the class-count guard")
     nbands = math.ceil(1.0 / eps)
     centers, part, _ = _cover_and_refine(
         w, eps, lambda rows: np.minimum((rows / eps).astype(int), nbands - 1))

@@ -90,11 +90,6 @@ class SetFamily:
     def members(self) -> list[list[int]]:
         return [_mask_to_set(s) for s in self.sets]
 
-    def set_weight(self, mask: int) -> float:
-        if self.weights is None:
-            raise InvalidInputError("family has no ground-set weights")
-        return float(sum(self.weights[i] for i in _mask_to_set(mask)))
-
 
 def is_shattered(h: SetFamily, s: Iterable[int] | int) -> bool:
     """True iff every subset of s appears as a trace Y & s, Y in h."""
@@ -108,32 +103,30 @@ def is_shattered(h: SetFamily, s: Iterable[int] | int) -> bool:
     return len(traces) == (1 << size)
 
 
+def _largest_closed(n: int, cap: int, holds) -> int:
+    """Length of the longest increasing index tuple over range(n), at most
+    ``cap``, on which ``holds`` (closed under subsets) is true."""
+    level = [()]
+    for depth in range(cap):
+        level = [t + (i,) for t in level
+                 for i in range(t[-1] + 1 if t else 0, n) if holds(t + (i,))]
+        if not level:
+            return depth
+    return cap
+
+
 def vc_dimension(h: SetFamily) -> int:
     """Exact VC dimension; -1 for the empty family (nothing shattered).
 
-    Level-by-level search: only supersets of shattered sets can be
-    shattered, and no set larger than log2 |h| can be.
+    Shattering is closed under subsets, and no set larger than log2 |h|
+    can be shattered.
     """
     if h.m > VC_MAX_GROUND:
         raise SizeLimitError(f"exact VC dimension limited to ground sets of {VC_MAX_GROUND}")
     if not h.sets:
         return -1
-    max_d = min(h.m, int(np.log2(len(h.sets))) if len(h.sets) > 1 else 0)
-    level = [0]
-    depth = 0
-    while depth < max_d:
-        nxt = []
-        for s in level:
-            top = s.bit_length()
-            for b in range(top, h.m):
-                cand = s | (1 << b)
-                if is_shattered(h, cand):
-                    nxt.append(cand)
-        if not nxt:
-            break
-        level = nxt
-        depth += 1
-    return depth
+    cap = min(h.m, len(h.sets).bit_length() - 1)
+    return _largest_closed(h.m, cap, lambda s: is_shattered(h, s))
 
 
 def sym_diff_family(h: SetFamily) -> SetFamily:
@@ -174,15 +167,14 @@ def transversal_number(h: SetFamily) -> int:
     return best
 
 
-def _atoms_all_positive(masks: Sequence[int], weights: np.ndarray, m: int) -> bool:
-    d = len(masks)
-    acc = np.zeros(1 << d)
-    for i in range(m):
+def _atoms_all_positive(h: SetFamily, subfamily: Sequence[int]) -> bool:
+    acc = np.zeros(1 << len(subfamily))
+    for i in range(h.m):
         sig = 0
-        for j, s in enumerate(masks):
-            if s >> i & 1:
-                sig |= 1 << j
-        acc[sig] += weights[i]
+        for bit, j in enumerate(subfamily):
+            if h.sets[j] >> i & 1:
+                sig |= 1 << bit
+        acc[sig] += h.weights[i]
     return bool(np.all(acc > ATOM_TOL))
 
 
@@ -190,32 +182,17 @@ def de_dimension(h: SetFamily) -> int:
     """Dual essential VC dimension: the largest qualitatively independent
     subfamily, i.e. one with all 2^d Boolean atoms of weight > 1e-12.
 
-    Qualitative independence is closed under taking subfamilies, so the
-    search grows level by level; 2^d positive atoms need at least 2^d
-    weighted points, which caps the depth at log2(m).
+    Qualitative independence is closed under taking subfamilies, and 2^d
+    positive atoms need at least 2^d positively weighted points, which
+    caps d at log2 of their number.
     """
     if h.weights is None:
         raise InvalidInputError("DE-dimension needs ground-set weights")
     if len(h.sets) > DE_MAX_SETS:
         raise SizeLimitError(f"exact DE-dimension limited to {DE_MAX_SETS} sets")
     positive = int(np.sum(h.weights > ATOM_TOL))
-    level = [()]
-    depth = 0
-    while True:
-        if (2 << depth) > max(positive, 1):
-            break
-        nxt = []
-        for combo in level:
-            start = combo[-1] + 1 if combo else 0
-            for i in range(start, len(h.sets)):
-                cand = combo + (i,)
-                if _atoms_all_positive([h.sets[j] for j in cand], h.weights, h.m):
-                    nxt.append(cand)
-        if not nxt:
-            break
-        level = nxt
-        depth += 1
-    return depth
+    return _largest_closed(len(h.sets), max(positive, 1).bit_length() - 1,
+                           lambda t: _atoms_all_positive(h, t))
 
 
 def neighborhood_family(w: StepGraphon) -> tuple[SetFamily, list[int]]:

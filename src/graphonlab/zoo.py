@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import StepBigraphon, StepGraphon
 from .errors import InvalidInputError, SizeLimitError
-from .metrics import triangle_violation
+from .metrics import MetricView
 
 MAX_BINARY_DEPTH = 12
 
@@ -39,25 +39,18 @@ def sphere_graphon(dim: int, n: int, seed: int) -> tuple[StepGraphon, np.ndarray
 
 
 def metric_graphon(dist, mu=None) -> StepGraphon:
-    """A metric of diameter <= 1 viewed as a graphon (W = d).
-
-    The identity map is contractive from d to the neighborhood distance:
-    r_W <= d entrywise.
+    """A metric of diameter <= 1, checked by ``MetricView`` and its
+    triangle sweep, viewed as a graphon (W = d). The identity map is
+    contractive from d to the neighborhood distance: r_W <= d entrywise.
     """
-    dist = np.array(dist, dtype=float)
-    k = dist.shape[0]
-    if dist.shape != (k, k) or k == 0:
-        raise InvalidInputError("distance matrix must be square and nonempty")
-    if mu is None:
-        mu = np.full(k, 1.0 / k)
-    if np.any(dist < 0) or np.any(np.diag(dist) != 0) or not np.array_equal(dist, dist.T):
-        raise InvalidInputError("need a symmetric nonnegative matrix with zero diagonal")
-    if np.any(dist > 1.0):
+    dist = np.array(dist, dtype=float, ndmin=2)
+    if dist.size == 0:
+        raise InvalidInputError("distance matrix must be nonempty")
+    view = MetricView(np.full(len(dist), 1.0 / len(dist)) if mu is None else mu, dist)
+    view.assert_metric()
+    if np.any(view.dist > 1.0):
         raise InvalidInputError("metric diameter must be at most 1")
-    worst = triangle_violation(dist)
-    if worst > 1e-9:
-        raise InvalidInputError(f"triangle inequality violated by {worst:.3g}")
-    return StepGraphon(mu, dist)
+    return StepGraphon(view.mu, view.dist)
 
 
 def half_graphon(n: int) -> StepGraphon:

@@ -7,11 +7,18 @@ these, not from the code under test.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphonlab as gl
+
+# tests that start ``python -m graphonlab.cli`` in a subprocess get the
+# copy of the package imported here, also from a plain checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(gl.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 # -- corpora -----------------------------------------------------------------
@@ -267,6 +274,22 @@ def brute_vc(h):
                 mask |= 1 << e
             if h.sets and len({s & mask for s in h.sets}) == (1 << size):
                 best = max(best, size)
+    return best
+
+
+def brute_de(h):
+    """Largest subfamily whose 2^d Boolean atoms all weigh more than 1e-12,
+    over every subfamily; an atom is the set of ground elements sharing one
+    membership signature."""
+    best = 0
+    for size in range(1, len(h.sets) + 1):
+        for combo in itertools.combinations(h.sets, size):
+            atoms = {}
+            for e in range(h.m):
+                sig = tuple(s >> e & 1 for s in combo)
+                atoms[sig] = atoms.get(sig, 0.0) + h.weights[e]
+            if len(atoms) == 1 << size and min(atoms.values()) > 1e-12:
+                best = size
     return best
 
 

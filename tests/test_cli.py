@@ -225,6 +225,35 @@ def test_zoo_metric_from_csv(workdir):
     assert w.w[0, 1] == 0.5
 
 
+def test_zoo_metric_reads_the_metrics_csv(workdir):
+    half8 = fileio.load_graphon(workdir / "half8.graphon")
+    csv, out = workdir / "d.csv", workdir / "m.graphon"
+    assert main(["metrics", str(workdir / "half8.graphon"), "-o", str(csv)]) == 0
+    assert main(["zoo", "metric", "--dist", str(csv), "-o", str(out)]) == 0
+    assert np.array_equal(fileio.load_graphon(out).w, gl.neighborhood_metric(half8).dist)
+    (workdir / "mu.csv").write_text("\n".join(["0.0625"] * 4 + ["0.1875"] * 4) + "\n")
+    assert main(["zoo", "metric", "--dist", str(csv), "--mu", str(workdir / "mu.csv"),
+                 "-o", str(out)]) == 0
+    assert fileio.load_graphon(out).mu[-1] == 0.1875
+
+
+@pytest.mark.parametrize("dist, mu", [
+    ("0,x\nx,0\n", None), ("0,0.5\n0.5\n", None), ("", None), ("0,0.5\n0.5,0\n", "missing"),
+    ("0,0.5\n0.5,0\n", "0.5,y\n"), (None, None),
+], ids=["non-numeric", "ragged", "empty", "missing-mu", "non-numeric-mu", "no-dist"])
+def test_zoo_metric_malformed_csv_exit_2(workdir, capsys, dist, mu):
+    args = ["zoo", "metric", "-o", str(workdir / "m.graphon")]
+    if dist is not None:
+        (workdir / "d.csv").write_text(dist)
+        args += ["--dist", str(workdir / "d.csv")]
+    if mu is not None:
+        if mu != "missing":
+            (workdir / "mu.csv").write_text(mu)
+        args += ["--mu", str(workdir / "mu.csv")]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_report_subcommand(workdir):
     rep_file = workdir / "rep.json"
     run_cli("partition", "ultra", workdir / "half8.graphon", "--eps", "0.3",
@@ -249,6 +278,19 @@ def test_report_with_a_non_numeric_value_exit_2(workdir, capsys, key, value):
     (workdir / "rep.json").write_text(json.dumps(doc))
     assert main(["report", str(workdir / "rep.json")]) == 2
     assert f"{key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": [1]},
+    {"classes": 3},
+    {"edit": 1},
+    {"edit": {"changed_cells": "x", "cell_bound": 1}},
+    {"kind": "weak", "certified_bound": 1, "cut_error": 0.1, "edit": {}},
+])
+def test_report_with_a_wrongly_typed_field_exit_2(workdir, capsys, doc):
+    (workdir / "rep.json").write_text(json.dumps(doc))
+    assert main(["report", str(workdir / "rep.json")]) == 2
+    assert " must be " in capsys.readouterr().err
 
 
 def test_partition_heuristic_flag_is_gone(workdir):

@@ -208,7 +208,7 @@ def test_memo_leaves_partitions_and_reports_unchanged(monkeypatch):
     assert [f.name for f in dataclasses.fields(gl.Partition)] == ["base", "assign", "c"]
     assert p == p and repr(p) == repr(q)
     assert (p.assign, p.c) == (q.assign, q.c) and np.array_equal(p.base, q.base)
-    again = gl.regularity._measured_report(w, q, "auto", centers=weak.centers,
+    again = gl.regularity._measured_report(w, q, centers=weak.centers,
                                            net_cost=weak.net_cost,
                                            certified_bound=weak.certified_bound)
     assert again.to_dict() == weak.to_dict()

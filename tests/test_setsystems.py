@@ -6,7 +6,7 @@ import pytest
 import graphonlab as gl
 from graphonlab.setsystems import sauer_shelah_bound, witness_bigraph
 
-from conftest import brute_vc, rng
+from conftest import brute_de, brute_vc, rng
 
 PREFIXES = [[], [0], [0, 1], [0, 1, 2]]
 
@@ -127,6 +127,21 @@ def test_de_dimension_examples():
 def test_de_dimension_zero_weight_complement():
     fam = gl.SetFamily(2, [0b11], np.array([0.6, 0.4]))
     assert gl.de_dimension(fam) == 0  # complement atom has weight 0
+
+
+def test_de_dimension_matches_brute_force():
+    seen = set()
+    for seed in range(120):
+        r = rng(900 + seed)
+        m = 1 + seed % 6
+        weights = r.random(m) * (r.random(m) < 0.7)  # some zero weights
+        weights[int(r.integers(0, m))] += 0.1
+        sets = [int(r.integers(0, 1 << m)) for _ in range(int(r.integers(1, 9)))]
+        fam = gl.SetFamily(m, sets, weights / weights.sum())
+        de = gl.de_dimension(fam)
+        assert de == brute_de(fam)
+        seen.add(de)
+    assert seen == {0, 1, 2}
 
 
 def test_neighborhood_family_examples(k2_graphon):

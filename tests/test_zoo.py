@@ -48,6 +48,19 @@ def test_metric_graphon_validation():
         metric_graphon(bad)  # triangle violation
 
 
+@pytest.mark.parametrize("dist, mu", [
+    (np.zeros((2, 3)), None),
+    (np.array([[0.0, 0.5], [0.4, 0.0]]), None),
+    (np.array([[0.0, -0.5], [-0.5, 0.0]]), None),
+    (np.array([[0.1, 0.5], [0.5, 0.0]]), None),
+    (np.zeros((0, 0)), None),
+    (np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(3, 1 / 3)),
+], ids=["non-square", "asymmetric", "negative", "diagonal", "empty", "mu-length"])
+def test_metric_graphon_rejects_malformed_input(dist, mu):
+    with pytest.raises(gl.InvalidInputError):
+        metric_graphon(dist, mu)
+
+
 def test_half_graphon_examples():
     h2 = half_graphon(2)
     assert h2.w.tolist() == [[1.0, 1.0], [1.0, 0.0]]
