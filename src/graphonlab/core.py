@@ -14,7 +14,9 @@ its exact cut norm), so a partition is measured once however often it is
 asked about. The memo is one immutable tuple replaced whole, so a
 concurrent reader sees the old memo or the new one, never half of one; it
 is matched to the graphon by identity and lives only as long as the
-partition does. Nothing is cached on graphons or kernels.
+partition does. Nothing is cached on graphons or kernels: the metrics r_W
+and r_{WoW} of the one graphon last measured live in the metrics slot of
+``metrics``, a module-level tuple of the same kind, not on the graphon.
 """
 
 from __future__ import annotations

@@ -223,8 +223,12 @@ def load_family(path) -> SetFamily:
     d = load_json(path)
     try:
         m, sets = int(d["m"]), d["sets"]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
         raise InvalidInputError(f"{path}: expected keys m, weights, sets")
+    # JSON integers parse to exactly int; true and false parse to bool
+    if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(type(e) is int for e in s) for s in sets):
+        raise InvalidInputError(f"{path}: sets must be a list of integer lists")
     weights = d.get("weights")
     return SetFamily(m, sets, None if weights is None else _number_array(path, "weights", weights))
 

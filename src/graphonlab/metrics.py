@@ -5,6 +5,17 @@ similarity distance is the neighborhood distance of the operator square
 W o W and is never larger. On top of these live purification (twin
 merging), packing numbers and dimension estimates, average epsilon-nets,
 and Voronoi partitions.
+
+The two metrics of the graphon last measured are kept in one module-level
+slot: the immutable tuple (W, r_W or None, r_{WoW} or None), replaced
+whole, so a concurrent reader sees the old slot or the new one, never half
+of one. It is matched to W by identity and holds W itself, so W's id cannot
+be reused while the slot names it. ``neighborhood_metric``,
+``similarity_metric`` and ``purify`` read the slot or fill it, so a
+sequence of constructions on one graphon (a weak and an ultra-strong
+partition, a net from the weak partition) sweeps each metric once. A call
+on another graphon starts a new slot: at most one graphon's two k x k
+matrices are held, and no graphon keeps metrics of its own.
 """
 
 from __future__ import annotations
@@ -87,7 +98,8 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Exactly symmetric with a zero diagonal. A k x m real input costs
     O(k^2 m) time in O(k m) working memory: row i is swept against the
-    rows after it, and the upper triangle is mirrored.
+    rows after it, in one k x m buffer whose tail holds the differences,
+    and the upper triangle is mirrored.
     """
     n = values.shape[0]
     if np.all((values == 0.0) | (values == 1.0)):
@@ -100,14 +112,41 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         np.fill_diagonal(d, 0.0)
         return d
     d = np.zeros((n, n))
+    buf = np.empty(values.shape)
     for i in range(n - 1):
-        d[i, i + 1:] = np.abs(values[i + 1:] - values[i]) @ weights
+        diff = buf[i + 1:]
+        np.subtract(values[i + 1:], values[i], out=diff)
+        np.abs(diff, out=diff)
+        np.matmul(diff, weights, out=d[i, i + 1:])
     return d + d.T
 
 
-def neighborhood_metric(w: StepGraphon) -> MetricView:
-    """r_W(i, j) = sum_z mu_z |w[i,z] - w[j,z]|."""
+#: (W, r_W or None, r_{WoW} or None) of the graphon last measured
+_slot = (None, None, None)
+
+
+def _memoized(w: StepGraphon, index: int, build) -> MetricView:
+    """Entry ``index`` of ``w``'s slot, built by ``build(w)`` if missing."""
+    global _slot
+    slot = _slot
+    if slot[0] is not w:
+        # free the old graphon's metrics before the build allocates new
+        # ones; the slot may be all that keeps them alive
+        slot = _slot = (w, None, None)
+    if slot[index] is None:
+        slot = slot[:index] + (build(w),) + slot[index + 1:]
+        _slot = slot
+    return slot[index]
+
+
+def _neighborhood_view(w: StepGraphon) -> MetricView:
     return MetricView(w.mu, _row_l1_matrix(w.w, w.mu))
+
+
+def neighborhood_metric(w: StepGraphon) -> MetricView:
+    """r_W(i, j) = sum_z mu_z |w[i,z] - w[j,z]|, swept once per graphon
+    object while it holds the metrics slot."""
+    return _memoized(w, 1, _neighborhood_view)
 
 
 def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
@@ -118,8 +157,10 @@ def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
 
 
 def similarity_metric(w: StepGraphon) -> MetricView:
-    """r_{WoW}: the neighborhood metric of the operator square."""
-    return neighborhood_metric(square(w))
+    """r_{WoW}: the neighborhood metric of the operator square, built once
+    per graphon object while it holds the metrics slot. The square itself
+    is not kept, nor its r_W put in the slot, which stays ``w``'s."""
+    return _memoized(w, 2, lambda w: _neighborhood_view(square(w)))
 
 
 def purify(w: StepGraphon) -> tuple[StepGraphon, list[int]]:
@@ -129,9 +170,11 @@ def purify(w: StepGraphon) -> tuple[StepGraphon, list[int]]:
     returned mapping sends each old step to its component. Measures of
     merged steps are added and their values are the measure-weighted
     block averages of ``aggregate`` on that partition. The output has all
-    pairwise r_W above ``TWIN_TOL``.
+    pairwise r_W above ``TWIN_TOL``. The distances are
+    ``neighborhood_metric(w)``, so a graphon whose r_W is in the metrics
+    slot is not swept again.
     """
-    d = _row_l1_matrix(w.w, w.mu)
+    d = neighborhood_metric(w).dist
     mapping = np.full(w.k, -1)
     roots: list[int] = []
     for i in range(w.k):

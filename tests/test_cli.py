@@ -146,6 +146,18 @@ def test_vc_subcommand(workdir):
     assert doc["vc"] == 1 and doc["vc_sym_diff"] == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 2, "sets": [["a"]]}, "sets must be a list of integer lists"),
+    ({"m": 2, "sets": 5}, "sets must be a list of integer lists"),
+    ({"m": 2, "sets": [[0, True]]}, "sets must be a list of integer lists"),
+    ({"m": "two", "sets": [[0]]}, "expected keys m, weights, sets"),
+], ids=["string-element", "number", "bool-element", "non-integer-m"])
+def test_vc_malformed_family_exit_2(workdir, capsys, doc, message):
+    (workdir / "fam.json").write_text(json.dumps(doc))
+    assert main(["vc", "--family", str(workdir / "fam.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_thinness_subcommand(workdir):
     witness_file = workdir / "w.bigraph"
     code, out, _ = run_cli("thinness", workdir / "half8.graphon", "--kmax", "2",

@@ -1,12 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import graphonlab as gl
 
+import graphonlab.metrics as metrics
 from graphonlab.metrics import _row_l1_matrix
 
 from conftest import (brute_packing, random_bigraphon, reference_purify, reference_row_l1,
-                      reference_voronoi, rng)
+                      reference_row_sweep, reference_voronoi, rng)
 
 
 def test_neighborhood_metric_examples(k2_graphon):
@@ -42,6 +46,100 @@ def test_row_l1_matrix_matches_reference():
     mixed[3, 7] = mixed[7, 3] = 0.5
     mu = np.full(12, 1 / 12)
     _assert_row_l1(_row_l1_matrix(mixed, mu), mixed, mu)
+
+
+def test_row_l1_matrix_real_sweep_is_bit_identical_to_the_allocating_sweep():
+    hosts = [gl.zoo.random_stepfunction(300, seed=s) for s in (1, 2)]
+    hosts += [gl.square(gl.split_step(gl.zoo.sphere_graphon(2, n - 1, s)[0], 0, 2))
+              for n, s in ((200, 3), (300, 4))]
+    for w in hosts:
+        assert not w.is_zero_one()
+        assert np.array_equal(_row_l1_matrix(w.w, w.mu), reference_row_sweep(w.w, w.mu))
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The value arrays ``_row_l1_matrix`` is called on, in call order."""
+    seen = []
+
+    def counted(values, weights):
+        seen.append(values)
+        return _row_l1_matrix(values, weights)
+
+    monkeypatch.setattr(metrics, "_row_l1_matrix", counted)
+    return seen
+
+
+def test_geometry_sequence_sweeps_each_metric_once(sweeps):
+    w = gl.zoo.random_stepfunction(30, seed=8)
+    gl.neighborhood_metric(w)
+    gl.similarity_metric(w)
+    gl.purify(w)
+    gl.weak_partition_via_net(w, 0.05)
+    gl.ultra_strong_partition(w, 0.3)
+    assert len(sweeps) == 2
+    assert sweeps[0] is w.w
+
+
+def test_net_from_partition_reuses_the_weak_partitions_metric(sweeps, monkeypatch):
+    w = gl.zoo.random_stepfunction(12, seed=3)
+    weak = gl.weak_partition_via_net(w, 0.05)
+    squares = []
+    monkeypatch.setattr(metrics, "square", lambda w: squares.append(w) or gl.square(w))
+    before = len(sweeps)
+    gl.net_from_partition(w, weak.partition)
+    assert len(sweeps) == before and squares == []
+
+
+def test_metrics_slot_rebuilds_on_every_switch(sweeps):
+    a, b = (gl.zoo.random_stepfunction(20, seed=s) for s in (1, 2))
+    first = {}
+    for w in (a, b, a, b):
+        views = [gl.neighborhood_metric(w), gl.similarity_metric(w), gl.neighborhood_metric(w)]
+        assert views[0] is views[2]
+        for name, view in zip(("r_w", "r_ww"), views):
+            first.setdefault((id(w), name), view.dist)
+            assert np.array_equal(view.dist, first[id(w), name])
+    assert len(sweeps) == 8
+
+
+def test_metrics_slot_matches_by_identity_not_value(sweeps):
+    w = gl.zoo.random_stepfunction(20, seed=5)
+    twin = gl.StepGraphon(w.mu, w.w)
+    assert gl.neighborhood_metric(w) is gl.neighborhood_metric(w)
+    assert len(sweeps) == 1
+    view = gl.neighborhood_metric(twin)
+    assert len(sweeps) == 2 and sweeps[1] is twin.w
+    assert view is not gl.neighborhood_metric(w)
+    assert np.array_equal(view.dist, gl.neighborhood_metric(w).dist)
+
+
+def test_metrics_slot_under_threads():
+    """Threads measuring different graphons evict each other's slot but
+    never read another graphon's metrics."""
+    hosts = [gl.zoo.random_stepfunction(12, seed=s) for s in range(6)]
+    fresh = [(_row_l1_matrix(w.w, w.mu), _row_l1_matrix(gl.square(w).w, w.mu)) for w in hosts]
+    wrong = []
+
+    def worker(offset):
+        for n in range(150):
+            j = (offset + n) % len(hosts)
+            if not (np.array_equal(gl.neighborhood_metric(hosts[j]).dist, fresh[j][0])
+                    and np.array_equal(gl.similarity_metric(hosts[j]).dist, fresh[j][1])):
+                wrong.append(j)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_row_l1_matrix_rectangular_via_bigraphon_metrics():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
+from graphonlab.metrics import _row_l1_matrix
 
 from conftest import reference_aggregate, reference_szemeredi_blocks
 
@@ -31,6 +32,22 @@ def test_similarity_metric_below_neighborhood_metric(w):
     sim = gl.similarity_metric(w).dist
     nbr = gl.neighborhood_metric(w).dist
     assert np.all(sim <= nbr + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(hosts(), hosts())
+def test_memoized_metrics_equal_a_fresh_build(w, u):
+    """Whatever graphon the metrics slot held before, each metric is the
+    row-L1 matrix of its own graphon, bit for bit."""
+    fresh = {}
+    for host in (w, u):
+        sq = gl.square(host)
+        fresh[id(host)] = {gl.neighborhood_metric: _row_l1_matrix(host.w, host.mu),
+                           gl.similarity_metric: _row_l1_matrix(sq.w, sq.mu)}
+    for host, metric in ((w, gl.neighborhood_metric), (u, gl.similarity_metric),
+                         (w, gl.similarity_metric), (u, gl.neighborhood_metric),
+                         (w, gl.neighborhood_metric), (w, gl.similarity_metric)):
+        assert np.array_equal(metric(host).dist, fresh[id(host)][metric])
 
 
 @PROPERTY_SETTINGS
