@@ -8,15 +8,11 @@ The value types that hold arrays (kernels, graphons, bigraphons and
 partitions) compare and hash by identity, so any of them can key a dict;
 ``Graph`` and ``Bigraph`` compare by value.
 
-One derived quantity is kept: a ``Partition`` remembers the residual
-W - W_P of the last graphon it was measured against (and, once computed,
-its exact cut norm), so a partition is measured once however often it is
-asked about. The memo is one immutable tuple replaced whole, so a
-concurrent reader sees the old memo or the new one, never half of one; it
-is matched to the graphon by identity and lives only as long as the
-partition does. Nothing is cached on graphons or kernels: the metrics r_W
-and r_{WoW} of the one graphon last measured live in the metrics slot of
-``metrics``, a module-level tuple of the same kind, not on the graphon.
+What is derived from a graphon is kept in one place, ``_derived``: the
+values measured on the graphon last measured (its metrics r_W and
+r_{WoW}, and per partition W_P, W - W_P and the exact cut norm of the
+residual), so a sequence of constructions on one graphon builds each
+once. Nothing is cached on the value types themselves.
 """
 
 from __future__ import annotations
@@ -202,19 +198,11 @@ class Partition:
     ``base`` are the measures of the steps being partitioned (copied from
     the graphon), ``assign[i]`` is the class id of step i, and ``c`` is the
     number of classes. Every class must be nonempty.
-
-    ``_residual`` is not a field: it is the memo that ``regularity`` keeps
-    of the last graphon W this partition was measured against, as one
-    tuple (W, W_P, W - W_P, exact cut norm of W - W_P or None), matched to
-    W by identity and replaced whole. ``repr`` and the file formats ignore
-    it, and it lives exactly as long as the partition.
     """
 
     base: np.ndarray
     assign: tuple
     c: int
-
-    _residual = None
 
     def __init__(self, base, assign: Sequence[int], c: int | None = None):
         base = _frozen_array(base)
@@ -255,6 +243,32 @@ class Partition:
         m = np.zeros(self.c)
         np.add.at(m, np.array(self.assign, dtype=int), self.base)
         return m
+
+
+#: (W, {key: value}) for the graphon W last measured; see ``_derived``
+_slot = (None, {})
+
+
+def _derived(w: StepKernel, key, build=None):
+    """The value ``key`` derived from ``w``, kept while ``w`` is the
+    graphon last measured; on a miss ``build()`` makes it and it is kept,
+    and without ``build`` a miss returns None.
+
+    The slot is one tuple (W, entries), matched to W by identity and
+    holding W, so its id is never reused while the slot names it. Asking
+    about another graphon replaces the tuple whole, dropping every value
+    kept before anything new is built: at most one graphon's values are
+    held. Each call reads the slot once, so a call whose slot another
+    thread has replaced meanwhile still stores into ``w``'s own entries.
+    """
+    global _slot
+    slot = _slot
+    if slot[0] is not w:
+        slot = _slot = (w, {})
+    value = slot[1].get(key)
+    if value is None and build is not None:
+        value = slot[1][key] = build()
+    return value
 
 
 def _require_same_basis(mu: np.ndarray, nu: np.ndarray) -> None:

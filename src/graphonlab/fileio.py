@@ -78,33 +78,27 @@ def write_text(path, text: str) -> None:
 
 # -- graphons ---------------------------------------------------------------
 
-def graphon_to_json(w: StepGraphon) -> str:
-    return dumps_canonical({"k": w.k, "mu": w.mu, "w": w.w}) + "\n"
-
-
 def write_graphon(path, w: StepGraphon) -> None:
-    write_text(path, graphon_to_json(w))
+    write_text(path, dumps_canonical({"k": w.k, "mu": w.mu, "w": w.w}) + "\n")
 
 
 def load_graphon(path) -> StepGraphon:
     d = load_json(path)
     try:
-        k, mu, w = int(d["k"]), d["mu"], d["w"]
-    except (KeyError, TypeError, ValueError):
+        k, mu, w = d["k"], d["mu"], d["w"]
+    except KeyError:
         raise InvalidInputError(f"{path}: expected keys k, mu, w")
+    if type(k) is not int:  # a JSON integer: not 1.5, "2" or true
+        raise InvalidInputError(f"{path}: expected keys k, mu, w, with k an integer")
     mu = _number_array(path, "mu", mu)
     if mu.size != k:
         raise InvalidInputError(f"{path}: mu has {mu.size} entries, k={k}")
     return StepGraphon(mu, _number_array(path, "w", w))
 
 
-def bigraphon_to_json(w: StepBigraphon) -> str:
-    return dumps_canonical({"k1": w.k1, "k2": w.k2, "mu1": w.mu1,
-                            "mu2": w.mu2, "w": w.w}) + "\n"
-
-
 def write_bigraphon(path, w: StepBigraphon) -> None:
-    write_text(path, bigraphon_to_json(w))
+    write_text(path, dumps_canonical({"k1": w.k1, "k2": w.k2, "mu1": w.mu1,
+                                      "mu2": w.mu2, "w": w.w}) + "\n")
 
 
 def load_bigraphon(path) -> StepBigraphon:
@@ -157,24 +151,16 @@ def _load_edge_list(path, build, node_counts: int):
         raise InvalidInputError(f"{path}: {e}")
 
 
-def graph_to_text(g: Graph) -> str:
-    return _edge_list_text((g.n,), g.edges)
-
-
 def write_graph(path, g: Graph) -> None:
-    write_text(path, graph_to_text(g))
+    write_text(path, _edge_list_text((g.n,), g.edges))
 
 
 def load_graph(path) -> Graph:
     return _load_edge_list(path, Graph, 1)
 
 
-def bigraph_to_text(b: Bigraph) -> str:
-    return _edge_list_text((b.n1, b.n2), b.edges)
-
-
 def write_bigraph(path, b: Bigraph) -> None:
-    write_text(path, bigraph_to_text(b))
+    write_text(path, _edge_list_text((b.n1, b.n2), b.edges))
 
 
 def load_bigraph(path) -> Bigraph:
@@ -183,12 +169,8 @@ def load_bigraph(path) -> Bigraph:
 
 # -- partitions and set families --------------------------------------------
 
-def partition_to_json(p: Partition) -> str:
-    return dumps_canonical({"classes": p.classes()}) + "\n"
-
-
 def write_partition(path, p: Partition) -> None:
-    write_text(path, partition_to_json(p))
+    write_text(path, dumps_canonical({"classes": p.classes()}) + "\n")
 
 
 def load_partition(path, base) -> Partition:
@@ -207,25 +189,20 @@ def load_partition(path, base) -> Partition:
     return Partition(base, [assign[i] for i in range(len(base))], len(classes))
 
 
-def family_to_json(h: SetFamily) -> str:
-    return dumps_canonical({
-        "m": h.m,
-        "weights": h.weights if h.weights is not None else None,
-        "sets": h.members(),
-    }) + "\n"
-
-
 def write_family(path, h: SetFamily) -> None:
-    write_text(path, family_to_json(h))
+    write_text(path, dumps_canonical({"m": h.m, "weights": h.weights,
+                                      "sets": h.members()}) + "\n")
 
 
 def load_family(path) -> SetFamily:
     d = load_json(path)
     try:
-        m, sets = int(d["m"]), d["sets"]
-    except (KeyError, TypeError, ValueError):
+        m, sets = d["m"], d["sets"]
+    except KeyError:
         raise InvalidInputError(f"{path}: expected keys m, weights, sets")
     # JSON integers parse to exactly int; true and false parse to bool
+    if type(m) is not int:
+        raise InvalidInputError(f"{path}: expected keys m, weights, sets, with m an integer")
     if not isinstance(sets, list) or not all(
             isinstance(s, list) and all(type(e) is int for e in s) for s in sets):
         raise InvalidInputError(f"{path}: sets must be a list of integer lists")

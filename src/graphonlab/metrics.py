@@ -6,16 +6,10 @@ W o W and is never larger. On top of these live purification (twin
 merging), packing numbers and dimension estimates, average epsilon-nets,
 and Voronoi partitions.
 
-The two metrics of the graphon last measured are kept in one module-level
-slot: the immutable tuple (W, r_W or None, r_{WoW} or None), replaced
-whole, so a concurrent reader sees the old slot or the new one, never half
-of one. It is matched to W by identity and holds W itself, so W's id cannot
-be reused while the slot names it. ``neighborhood_metric``,
-``similarity_metric`` and ``purify`` read the slot or fill it, so a
-sequence of constructions on one graphon (a weak and an ultra-strong
-partition, a net from the weak partition) sweeps each metric once. A call
-on another graphon starts a new slot: at most one graphon's two k x k
-matrices are held, and no graphon keeps metrics of its own.
+The two metrics of a graphon are kept by ``core._derived`` while it is
+the graphon last measured, so a sequence of constructions on one graphon
+(a weak and an ultra-strong partition, a net from the weak partition)
+sweeps each metric once.
 """
 
 from __future__ import annotations
@@ -24,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Partition, StepBigraphon, StepGraphon, _frozen_array, _measure_vector,
-                   aggregate, square)
+from .core import (Partition, StepBigraphon, StepGraphon, _derived, _frozen_array,
+                   _measure_vector, aggregate, square)
 from .errors import InvalidInputError, SizeLimitError
 
 #: twins are merged below this neighborhood distance
@@ -121,32 +115,14 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
-#: (W, r_W or None, r_{WoW} or None) of the graphon last measured
-_slot = (None, None, None)
-
-
-def _memoized(w: StepGraphon, index: int, build) -> MetricView:
-    """Entry ``index`` of ``w``'s slot, built by ``build(w)`` if missing."""
-    global _slot
-    slot = _slot
-    if slot[0] is not w:
-        # free the old graphon's metrics before the build allocates new
-        # ones; the slot may be all that keeps them alive
-        slot = _slot = (w, None, None)
-    if slot[index] is None:
-        slot = slot[:index] + (build(w),) + slot[index + 1:]
-        _slot = slot
-    return slot[index]
-
-
 def _neighborhood_view(w: StepGraphon) -> MetricView:
     return MetricView(w.mu, _row_l1_matrix(w.w, w.mu))
 
 
 def neighborhood_metric(w: StepGraphon) -> MetricView:
-    """r_W(i, j) = sum_z mu_z |w[i,z] - w[j,z]|, swept once per graphon
-    object while it holds the metrics slot."""
-    return _memoized(w, 1, _neighborhood_view)
+    """r_W(i, j) = sum_z mu_z |w[i,z] - w[j,z]|, swept once while ``w`` is
+    the graphon last measured."""
+    return _derived(w, "r_w", lambda: _neighborhood_view(w))
 
 
 def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
@@ -158,9 +134,10 @@ def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
 
 def similarity_metric(w: StepGraphon) -> MetricView:
     """r_{WoW}: the neighborhood metric of the operator square, built once
-    per graphon object while it holds the metrics slot. The square itself
-    is not kept, nor its r_W put in the slot, which stays ``w``'s."""
-    return _memoized(w, 2, lambda w: _neighborhood_view(square(w)))
+    while ``w`` is the graphon last measured. The square is not kept, and
+    its r_W is built directly, so the square is never measured in ``w``'s
+    place."""
+    return _derived(w, "r_ww", lambda: _neighborhood_view(square(w)))
 
 
 def purify(w: StepGraphon) -> tuple[StepGraphon, list[int]]:
@@ -171,8 +148,8 @@ def purify(w: StepGraphon) -> tuple[StepGraphon, list[int]]:
     merged steps are added and their values are the measure-weighted
     block averages of ``aggregate`` on that partition. The output has all
     pairwise r_W above ``TWIN_TOL``. The distances are
-    ``neighborhood_metric(w)``, so a graphon whose r_W is in the metrics
-    slot is not swept again.
+    ``neighborhood_metric(w)``, so a graphon whose r_W is kept is not
+    swept again.
     """
     d = neighborhood_metric(w).dist
     mapping = np.full(w.k, -1)

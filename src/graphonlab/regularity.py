@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, aggregate,
+from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
                    l1_norm, rectangle_max)
 from .densities import bigraph_integral
@@ -92,27 +92,22 @@ class PartitionReport:
 
 
 def _residual(w: StepGraphon, p: Partition) -> tuple:
-    """The memo (W, W_P, W - W_P, exact cut norm or None) of the pair, and
-    the one place W - W_P is built: kept on ``p`` (see ``Partition``) and
-    reused while ``p`` is asked about this same graphon object."""
-    memo = p._residual
-    if memo is None or memo[0] is not w:
+    """(W_P, W - W_P) of the pair, and the one place W - W_P is built:
+    kept by ``_derived`` under ``(p, "residual")`` while ``w`` is the
+    graphon last measured."""
+    def build():
         check_basis(p, w)
         wp = aggregate(w, p)
-        memo = (w, wp, difference(w, wp), None)
-        object.__setattr__(p, "_residual", memo)
-    return memo
+        return wp, difference(w, wp)
+    return _derived(w, (p, "residual"), build)
 
 
 def partition_cut_error(w: StepGraphon, p: Partition) -> float:
     """Exact cut norm of W - W_P; above k = 24 steps it raises
-    ``SizeLimitError``. The residual and the value are memoized on ``p``
-    for this graphon object, so the 2^k enumeration runs at most once."""
-    memo = _residual(w, p)
-    if memo[3] is None:
-        memo = memo[:3] + (cut_norm(memo[2], mode="exact"),)
-        object.__setattr__(p, "_residual", memo)
-    return memo[3]
+    ``SizeLimitError``. The value is kept under ``(p, "cut")`` while ``w``
+    is the graphon last measured, so the 2^k enumeration runs at most once
+    per partition."""
+    return _derived(w, (p, "cut"), lambda: cut_norm(_residual(w, p)[1], mode="exact"))
 
 
 def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
@@ -121,7 +116,7 @@ def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
     and the one decision on how the cut norm is measured: exactly when
     k <= ``CUT_NORM_MAX_STEPS``, else by the heuristic lower bound. With
     ``check_l1`` an L1 error above the certified bound raises."""
-    diff = _residual(w, part)[2]
+    _, diff = _residual(w, part)
     exact = diff.k <= CUT_NORM_MAX_STEPS
     cut = partition_cut_error(w, part) if exact else cut_norm(diff, mode="heuristic")
     report = PartitionReport(partition=part, cut_error=cut, l1_error=l1_norm(diff),
@@ -159,16 +154,16 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
 
     On a one-class partition the one block is the whole matrix, so the
     value is the exact cut norm of W - W_P, the same ``rectangle_max``
-    call on the same array: it is read from (or stored in) the memo that
-    ``p`` keeps for this graphon object, and a partition whose weak report
-    has just measured it costs nothing more.
+    call on the same array: it is ``partition_cut_error``, kept per
+    partition, so a partition whose weak report has just measured it costs
+    nothing more.
     """
     check_basis(p, w)
     if w.k > SZEMEREDI_MAX_STEPS:
         raise SizeLimitError(f"exact Szemeredi error limited to {SZEMEREDI_MAX_STEPS} steps")
     if p.c == 1:
         return partition_cut_error(w, p)
-    r = _residual(w, p)[2]
+    _, r = _residual(w, p)
     a = r.mu[:, None] * r.mu[None, :] * r.w
     cls = p.classes()
     pos = neg = 0.0
@@ -187,16 +182,15 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     is "below average", and the selected set is an average 4 eps-net in the
     similarity metric when the partition has cut error eps. The inequality
     net_cost <= 4 * cut error is checked whenever the exact cut norm is
-    available (k <= 24). When ``p`` already holds the exact cut norm for
-    this graphon object (a weak report measured it), the check reads it
-    and enumerates nothing. Otherwise it runs first against the heuristic
-    cut norm, a lower bound (each of its values is an actual rectangle
-    sum), so passing it proves the check; only when it falls short does
-    the exact enumeration decide (and is memoized on ``p``), and
-    ``CertificationError`` is raised if that fails too.
+    available (k <= 24). When the exact cut norm of ``p`` on ``w`` is
+    already kept (a weak report measured it), the check reads it and
+    enumerates nothing. Otherwise it runs first against the heuristic cut
+    norm, a lower bound (each of its values is an actual rectangle sum),
+    so passing it proves the check; only when it falls short does the
+    exact enumeration decide (and is kept), and ``CertificationError`` is
+    raised if that fails too.
     """
-    memo = _residual(w, p)
-    r = memo[2]
+    _, r = _residual(w, p)
     inner = r.w @ (w.mu[:, None] * w.w)
     f = np.abs(inner) @ w.mu
     centers = []
@@ -207,7 +201,8 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     mind = np.min(sim.dist[:, centers], axis=1)
     cost = float(mind @ w.mu)
     if w.k <= CUT_NORM_MAX_STEPS:
-        proven = memo[3] is None and within_bound(cost, 4.0 * cut_norm(r, mode="heuristic"))
+        cut = _derived(w, (p, "cut"))
+        proven = cut is None and within_bound(cost, 4.0 * cut_norm(r, mode="heuristic"))
         if not proven:
             cut = partition_cut_error(w, p)
             if not within_bound(cost, 4.0 * cut):
@@ -380,7 +375,7 @@ def edit_blowup_approx(g: Graph | StepGraphon, f, eps: float) -> BlowupApprox:
     report = thin_ultra_partition(w0, f, eps)
     part = report.partition
     assign = np.array(part.assign, dtype=int)
-    wp = _residual(w0, part)[1]
+    wp, _ = _residual(w0, part)
     reps = [cl[0] for cl in part.classes()]
     block = wp.w[np.ix_(reps, reps)]
     rounded = (block >= 0.5).astype(float)

@@ -67,6 +67,14 @@ def test_metrics_malformed_graphon_exit_2(workdir, doc):
     assert "array of numbers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("k", ["1.5", '"1"', "true", "1.0"])
+def test_metrics_graphon_with_a_non_integer_k_exit_2(workdir, k):
+    (workdir / "bad.graphon").write_text(f'{{"k": {k}, "mu": [1.0], "w": [[0.5]]}}\n')
+    code, out, err = run_cli("metrics", workdir / "bad.graphon")
+    assert code == 2 and out == ""
+    assert "with k an integer" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc", [
     '{"k1": 2, "k2": 2, "mu1": [0.5, 0.5], "mu2": [0.5, 0.5], "w": [[1.0, 0.0], [0.0]]}',
     '{"k1": 2, "k2": 2, "mu1": [0.5, 0.5], "mu2": [0.5, 0.5], "w": [[1.0, "a"], [0.0, 1.0]]}',
@@ -151,7 +159,11 @@ def test_vc_subcommand(workdir):
     ({"m": 2, "sets": 5}, "sets must be a list of integer lists"),
     ({"m": 2, "sets": [[0, True]]}, "sets must be a list of integer lists"),
     ({"m": "two", "sets": [[0]]}, "expected keys m, weights, sets"),
-], ids=["string-element", "number", "bool-element", "non-integer-m"])
+    ({"m": 2.5, "sets": [[0], [1]]}, "with m an integer"),
+    ({"m": "3", "sets": [[0], [1]]}, "with m an integer"),
+    ({"m": True, "sets": [[0]]}, "with m an integer"),
+], ids=["string-element", "number", "bool-element", "non-integer-m", "fractional-m",
+        "string-m", "bool-m"])
 def test_vc_malformed_family_exit_2(workdir, capsys, doc, message):
     (workdir / "fam.json").write_text(json.dumps(doc))
     assert main(["vc", "--family", str(workdir / "fam.json")]) == 2

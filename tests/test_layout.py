@@ -1,0 +1,88 @@
+"""Source layout rules, checked on the syntax tree of ``src/graphonlab``.
+
+Two rules keep the package's design honest:
+
+- a private name (``_name``) is imported from another graphonlab module
+  only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
+  ``_measure_vector`` build every value type, and ``_derived`` is the one
+  slot that keeps what is derived from a graphon. They stay private
+  because the benchmark's tracer wraps every public module-level
+  function, and a span on each value construction or slot lookup would
+  charge that work to ``core``;
+- ``object.__setattr__`` is called only inside ``__init__`` or
+  ``__post_init__``, so no value is written after construction and
+  nothing is memoized on a value.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import graphonlab
+
+SHARED_PRIVATE = {"_frozen_array", "_measure_vector", "_derived"}
+
+SOURCES = sorted(Path(graphonlab.__file__).parent.glob("*.py"))
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names imported from graphonlab modules (relative imports
+    included)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "graphonlab"):
+            names += [a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return names
+
+
+def late_setattrs(source: str) -> list[int]:
+    """Line numbers of ``object.__setattr__`` calls outside ``__init__``
+    and ``__post_init__``."""
+    lines = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+                and function not in ("__init__", "__post_init__")):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return lines
+
+
+def test_the_sources_are_found():
+    assert {"core.py", "metrics.py", "regularity.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_names_cross_modules_only_from_the_shared_set(path):
+    assert set(private_imports(path.read_text())) <= SHARED_PRIVATE
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_values_are_written_only_while_constructed(path):
+    assert late_setattrs(path.read_text()) == []
+
+
+def test_the_checks_see_violations():
+    assert private_imports(
+        "from .core import _subset_sums, cut_norm\n"
+        "from graphonlab.metrics import _row_l1_matrix\n"
+        "from __future__ import annotations\n"
+        "from numpy import _private\n") == ["_subset_sums", "_row_l1_matrix"]
+    assert late_setattrs(
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "def memo(p):\n"
+        "    object.__setattr__(p, '_memo', 1)\n"
+        "    def __init__(q):\n"
+        "        object.__setattr__(q, 'y', 2)\n") == [5]

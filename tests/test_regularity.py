@@ -214,6 +214,41 @@ def test_memo_leaves_partitions_and_reports_unchanged(monkeypatch):
     assert again.to_dict() == weak.to_dict()
 
 
+def test_certify_sequence_enumerates_once_and_sweeps_twice(monkeypatch):
+    w = gl.zoo.random_stepfunction(20, seed=11)
+    exact = _count_enumerations(monkeypatch)
+    sweeps = _count_calls(monkeypatch, gl.metrics, "_row_l1_matrix")
+    weak = gl.weak_partition_via_net(w, 0.05)
+    ultra = gl.ultra_strong_partition(w, 0.3)
+    szemeredi = gl.szemeredi_error(w, weak.partition)
+    gl.net_from_partition(w, weak.partition)
+    assert len(exact) == 1 and len(sweeps) == 2
+    assert szemeredi == weak.cut_error and ultra.exact and ultra.class_count > 1
+
+
+def test_measuring_another_graphon_drops_what_was_derived(monkeypatch):
+    w, p = _certify_host()
+    other = gl.zoo.random_stepfunction(20, seed=12)
+    gl.partition_cut_error(w, p)
+    gl.neighborhood_metric(other)
+    exact = _count_enumerations(monkeypatch)
+    sweeps = _count_calls(monkeypatch, gl.metrics, "_row_l1_matrix")
+    first = gl.partition_cut_error(w, p)
+    assert len(exact) == 1
+    assert gl.partition_cut_error(w, p) == first and len(exact) == 1
+    gl.similarity_metric(w)
+    gl.similarity_metric(w)
+    assert len(sweeps) == 1
+
+
+def test_measuring_leaves_no_attribute_on_the_partition():
+    w = gl.zoo.random_stepfunction(20, seed=11)
+    p = gl.weak_partition_via_net(w, 0.05).partition
+    gl.szemeredi_error(w, p)
+    gl.net_from_partition(w, p)
+    assert set(vars(p)) == {"base", "assign", "c"}
+
+
 def test_ultra_strong_separated_rows_is_exact():
     h = gl.zoo.half_graphon(8)  # min row distance 1/8 > eps/2 for eps = 0.2
     rep = gl.ultra_strong_partition(h, 0.2)
