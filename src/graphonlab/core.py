@@ -249,10 +249,9 @@ class Partition:
 _slot = (None, {})
 
 
-def _derived(w: StepKernel, key, build=None):
+def _derived(w: StepKernel, key, build):
     """The value ``key`` derived from ``w``, kept while ``w`` is the
-    graphon last measured; on a miss ``build()`` makes it and it is kept,
-    and without ``build`` a miss returns None.
+    graphon last measured; on a miss ``build()`` makes it and it is kept.
 
     The slot is one tuple (W, entries), matched to W by identity and
     holding W, so its id is never reused while the slot names it. Asking
@@ -266,7 +265,7 @@ def _derived(w: StepKernel, key, build=None):
     if slot[0] is not w:
         slot = _slot = (w, {})
     value = slot[1].get(key)
-    if value is None and build is not None:
+    if value is None:
         value = slot[1][key] = build()
     return value
 

@@ -82,18 +82,25 @@ def write_graphon(path, w: StepGraphon) -> None:
     write_text(path, dumps_canonical({"k": w.k, "mu": w.mu, "w": w.w}) + "\n")
 
 
+def _measure(path, d: dict, keys: str, count: str, measure: str) -> np.ndarray:
+    """``d[measure]`` as a float array with ``d[count]`` entries, where the
+    count is a JSON integer (not 1.5, "2" or true); each of ``keys`` must
+    be present."""
+    if not all(key in d for key in keys.split(", ")):
+        raise InvalidInputError(f"{path}: expected keys {keys}")
+    k = d[count]
+    if type(k) is not int:
+        raise InvalidInputError(f"{path}: expected keys {keys}, with {count} an integer")
+    mu = _number_array(path, measure, d[measure])
+    if mu.size != k:
+        raise InvalidInputError(f"{path}: {measure} has {mu.size} entries, {count}={k}")
+    return mu
+
+
 def load_graphon(path) -> StepGraphon:
     d = load_json(path)
-    try:
-        k, mu, w = d["k"], d["mu"], d["w"]
-    except KeyError:
-        raise InvalidInputError(f"{path}: expected keys k, mu, w")
-    if type(k) is not int:  # a JSON integer: not 1.5, "2" or true
-        raise InvalidInputError(f"{path}: expected keys k, mu, w, with k an integer")
-    mu = _number_array(path, "mu", mu)
-    if mu.size != k:
-        raise InvalidInputError(f"{path}: mu has {mu.size} entries, k={k}")
-    return StepGraphon(mu, _number_array(path, "w", w))
+    mu = _measure(path, d, "k, mu, w", "k", "mu")
+    return StepGraphon(mu, _number_array(path, "w", d["w"]))
 
 
 def write_bigraphon(path, w: StepBigraphon) -> None:
@@ -103,12 +110,9 @@ def write_bigraphon(path, w: StepBigraphon) -> None:
 
 def load_bigraphon(path) -> StepBigraphon:
     d = load_json(path)
-    try:
-        mu1, mu2, w = d["mu1"], d["mu2"], d["w"]
-    except (KeyError, TypeError):
-        raise InvalidInputError(f"{path}: expected keys k1, k2, mu1, mu2, w")
-    return StepBigraphon(_number_array(path, "mu1", mu1), _number_array(path, "mu2", mu2),
-                         _number_array(path, "w", w))
+    mu1, mu2 = (_measure(path, d, "k1, k2, mu1, mu2, w", f"k{side}", f"mu{side}")
+                for side in "12")
+    return StepBigraphon(mu1, mu2, _number_array(path, "w", d["w"]))
 
 
 # -- graphs -----------------------------------------------------------------
@@ -169,6 +173,12 @@ def load_bigraph(path) -> Bigraph:
 
 # -- partitions and set families --------------------------------------------
 
+def _is_int_lists(value) -> bool:
+    """A JSON list of lists of integers (true and false are not integers)."""
+    return isinstance(value, list) and all(
+        isinstance(s, list) and all(type(e) is int for e in s) for s in value)
+
+
 def write_partition(path, p: Partition) -> None:
     write_text(path, dumps_canonical({"classes": p.classes()}) + "\n")
 
@@ -176,14 +186,14 @@ def write_partition(path, p: Partition) -> None:
 def load_partition(path, base) -> Partition:
     d = load_json(path)
     classes = d.get("classes")
-    if not isinstance(classes, list):
-        raise InvalidInputError(f"{path}: expected a 'classes' list")
+    if not _is_int_lists(classes):
+        raise InvalidInputError(f"{path}: expected a 'classes' list of integer lists")
     assign = {}
     for cid, cls in enumerate(classes):
         for step in cls:
             if step in assign:
                 raise InvalidInputError(f"{path}: step {step} appears twice")
-            assign[int(step)] = cid
+            assign[step] = cid
     if sorted(assign) != list(range(len(base))):
         raise InvalidInputError(f"{path}: classes must cover steps 0..{len(base) - 1}")
     return Partition(base, [assign[i] for i in range(len(base))], len(classes))
@@ -203,8 +213,7 @@ def load_family(path) -> SetFamily:
     # JSON integers parse to exactly int; true and false parse to bool
     if type(m) is not int:
         raise InvalidInputError(f"{path}: expected keys m, weights, sets, with m an integer")
-    if not isinstance(sets, list) or not all(
-            isinstance(s, list) and all(type(e) is int for e in s) for s in sets):
+    if not _is_int_lists(sets):
         raise InvalidInputError(f"{path}: sets must be a list of integer lists")
     weights = d.get("weights")
     return SetFamily(m, sets, None if weights is None else _number_array(path, "weights", weights))

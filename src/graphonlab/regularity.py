@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, aggregate,
                    as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
-                   l1_norm, rectangle_max)
+                   l1_norm, operator_product_values, rectangle_max)
 from .densities import bigraph_integral
 from .errors import (CertificationError, HypothesisError, InvalidInputError,
                      SizeLimitError)
@@ -114,8 +114,9 @@ def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
                      **fields) -> PartitionReport:
     """Report of ``part`` with the errors of W - W_P measured: the L1 norm,
     and the one decision on how the cut norm is measured: exactly when
-    k <= ``CUT_NORM_MAX_STEPS``, else by the heuristic lower bound. With
-    ``check_l1`` an L1 error above the certified bound raises."""
+    k <= ``CUT_NORM_MAX_STEPS``, else by the heuristic lower bound, which
+    no check reads. With ``check_l1`` an L1 error above the certified
+    bound raises."""
     _, diff = _residual(w, part)
     exact = diff.k <= CUT_NORM_MAX_STEPS
     cut = partition_cut_error(w, part) if exact else cut_norm(diff, mode="heuristic")
@@ -181,17 +182,14 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     Per class the step minimizing F(x) = sum_z mu_z |sum_s mu_s R(x,s) W(s,z)|
     is "below average", and the selected set is an average 4 eps-net in the
     similarity metric when the partition has cut error eps. The inequality
-    net_cost <= 4 * cut error is checked whenever the exact cut norm is
-    available (k <= 24). When the exact cut norm of ``p`` on ``w`` is
-    already kept (a weak report measured it), the check reads it and
-    enumerates nothing. Otherwise it runs first against the heuristic cut
-    norm, a lower bound (each of its values is an actual rectangle sum),
-    so passing it proves the check; only when it falls short does the
-    exact enumeration decide (and is kept), and ``CertificationError`` is
-    raised if that fails too.
+    net_cost <= 4 * cut error is checked against ``partition_cut_error``,
+    the exact cut norm of W - W_P, whenever it exists (k <= 24); it is
+    enumerated at most once per partition, so after a weak report has
+    measured ``p`` the check enumerates nothing. A failed check raises
+    ``CertificationError``; above 24 steps nothing is checked.
     """
     _, r = _residual(w, p)
-    inner = r.w @ (w.mu[:, None] * w.w)
+    inner = operator_product_values(r.w, w.w, w.mu)
     f = np.abs(inner) @ w.mu
     centers = []
     for cl in p.classes():
@@ -201,13 +199,9 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     mind = np.min(sim.dist[:, centers], axis=1)
     cost = float(mind @ w.mu)
     if w.k <= CUT_NORM_MAX_STEPS:
-        cut = _derived(w, (p, "cut"))
-        proven = cut is None and within_bound(cost, 4.0 * cut_norm(r, mode="heuristic"))
-        if not proven:
-            cut = partition_cut_error(w, p)
-            if not within_bound(cost, 4.0 * cut):
-                raise CertificationError(
-                    f"net cost {cost} exceeded 4x cut error {cut}")
+        cut = partition_cut_error(w, p)
+        if not within_bound(cost, 4.0 * cut):
+            raise CertificationError(f"net cost {cost} exceeded 4x cut error {cut}")
     return centers, cost
 
 

@@ -66,9 +66,10 @@ def half_graphon(n: int) -> StepGraphon:
     return StepGraphon(np.full(n, 1.0 / n), w)
 
 
-def _binary_digit(x: float, k: int) -> int:
-    # k-th digit after the binary point; exact for dyadic x
-    return int(np.floor(x * (1 << k))) & 1
+def _binary_digits(x: np.ndarray, levels) -> np.ndarray:
+    """Entry (i, j) is the levels[j]-th binary digit of x[i] after the
+    point; exact for dyadic x."""
+    return np.floor(x[:, None] * (1 << np.array(levels))[None, :]).astype(int) & 1
 
 
 def _floor_log2_inv(y: float) -> int:
@@ -102,22 +103,15 @@ def binary_graphon(depth: int, variant: str = "sym") -> StepGraphon | StepBigrap
     if variant == "sym":
         k = 1 << (depth + 1)
         mids = (2 * np.arange(k) + 1) / (2.0 * k)
-        w = np.zeros((k, k))
-        for i, x in enumerate(mids):
-            for j, y in enumerate(mids):
-                if x > 0.5 and y <= 0.5:
-                    w[i, j] = _binary_digit(x, _floor_log2_inv(y))
-                elif x <= 0.5 and y > 0.5:
-                    w[i, j] = _binary_digit(y, _floor_log2_inv(x))
+        digits = _binary_digits(mids, [_floor_log2_inv(y) for y in mids])
+        high = mids > 0.5
+        mixed = high[:, None] & ~high[None, :]  # x > 1/2 >= y
+        w = np.where(mixed, digits, 0) + np.where(mixed.T, digits.T, 0)
         return StepGraphon(np.full(k, 1.0 / k), w)
     if variant == "asym":
         k = 1 << depth
         mids = (2 * np.arange(k) + 1) / (2.0 * k)
-        levels = [_ceil_log2_inv(y) for y in mids]
-        w = np.zeros((k, k))
-        for i, x in enumerate(mids):
-            for j in range(k):
-                w[i, j] = _binary_digit(x, levels[j])
+        w = _binary_digits(mids, [_ceil_log2_inv(y) for y in mids])
         u = np.full(k, 1.0 / k)
         return StepBigraphon(u, u, w)
     raise InvalidInputError(f"unknown variant {variant!r}")

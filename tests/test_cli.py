@@ -88,6 +88,22 @@ def test_density_malformed_bigraphon_exit_2(workdir, doc):
     assert "array of numbers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("counts,message", [
+    ('"k2": 1', "expected keys k1, k2, mu1, mu2, w"),
+    ('"k1": 2, "k2": "x"', "with k2 an integer"),
+    ('"k1": 1.5, "k2": 1', "with k1 an integer"),
+    ('"k1": 2, "k2": true', "with k2 an integer"),
+    ('"k1": 2, "k2": 3', "mu2 has 1 entries, k2=3"),
+])
+def test_density_bigraphon_with_a_bad_count_exit_2(workdir, counts, message):
+    (workdir / "bad.bigraphon").write_text(
+        f'{{{counts}, "mu1": [0.5, 0.5], "mu2": [1.0], "w": [[1.0], [0.0]]}}\n')
+    code, out, err = run_cli("density", "--bigraphon", workdir / "bad.bigraphon",
+                             "--pattern", workdir / "2matching.bigraph")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_density_bigraph_pattern(workdir):
     code, out, _ = run_cli("density", "--graphon", workdir / "half8.graphon",
                            "--pattern", workdir / "2matching.bigraph")

@@ -51,8 +51,9 @@ def test_bigraphon_round_trip(tmp_path):
     (fileio.load_graphon, {"k": 1, "mu": [1.0], "w": [["0.5"]]}),
     (fileio.load_graphon, {"k": 1, "mu": [None], "w": [[0.5]]}),
     (fileio.load_graphon, {"k": "one", "mu": [1.0], "w": [[0.5]]}),
-    (fileio.load_bigraphon, {"mu1": [1.0], "mu2": [[0.5], [0.5, 0.0]], "w": [[0.5, 0.5]]}),
-    (fileio.load_bigraphon, {"mu1": [1.0], "mu2": [1.0], "w": [[True]]}),
+    (fileio.load_bigraphon, {"k1": 1, "k2": 2, "mu1": [1.0], "mu2": [[0.5], [0.5, 0.0]],
+                             "w": [[0.5, 0.5]]}),
+    (fileio.load_bigraphon, {"k1": 1, "k2": 1, "mu1": [1.0], "mu2": [1.0], "w": [[True]]}),
     (fileio.load_family, {"m": 2, "weights": [0.5, "x"], "sets": [[0], [1]]}),
 ])
 def test_malformed_arrays_are_input_errors(tmp_path, loader, doc):
@@ -101,6 +102,15 @@ def test_partition_round_trip(tmp_path):
     path.write_text('{"classes": [[0], [1]]}')
     with pytest.raises(gl.InvalidInputError):
         fileio.load_partition(path, base)
+
+
+@pytest.mark.parametrize("classes", ['[[0, 1.5], [2]]', '[[0, true], [2]]',
+                                     '[[0, "a"], [2]]', '[[0, 1], 2]'])
+def test_partition_steps_are_integers_and_classes_lists(tmp_path, classes):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"classes": {classes}}}')
+    with pytest.raises(gl.InvalidInputError, match="'classes' list"):
+        fileio.load_partition(path, np.array([0.25, 0.25, 0.5]))
 
 
 def test_family_round_trip(tmp_path):

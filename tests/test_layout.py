@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Two rules keep the package's design honest:
+Three rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -11,7 +11,12 @@ Two rules keep the package's design honest:
   charge that work to ``core``;
 - ``object.__setattr__`` is called only inside ``__init__`` or
   ``__post_init__``, so no value is written after construction and
-  nothing is memoized on a value.
+  nothing is memoized on a value;
+- the heuristic cut norm, a lower bound that certifies nothing, is
+  reached only where a report above 24 steps measures its cut error:
+  ``cut_norm(..., mode="heuristic")`` only in
+  ``regularity._measured_report``, and ``_cut_norm_heuristic`` only in
+  ``core.cut_norm``. So no check reads it.
 """
 
 import ast
@@ -24,6 +29,10 @@ import graphonlab
 SHARED_PRIVATE = {"_frozen_array", "_measure_vector", "_derived"}
 
 SOURCES = sorted(Path(graphonlab.__file__).parent.glob("*.py"))
+
+#: (module, route, enclosing function) of each allowed use of the heuristic
+HEURISTIC_ROUTES = {("regularity.py", "cut_norm", "_measured_report"),
+                    ("core.py", "_cut_norm_heuristic", "cut_norm")}
 
 
 def private_imports(source: str) -> list[str]:
@@ -58,6 +67,34 @@ def late_setattrs(source: str) -> list[int]:
     return lines
 
 
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def heuristic_routes(source: str) -> list[tuple[str, str | None]]:
+    """(route, enclosing function) of each way to the heuristic cut norm:
+    a ``cut_norm`` call whose mode is "heuristic", and any use of
+    ``_cut_norm_heuristic``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _called_name(node.func) == "cut_norm":
+            modes = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and m.value == "heuristic" for m in modes):
+                found.append(("cut_norm", function))
+        if _called_name(node) == "_cut_norm_heuristic":
+            found.append(("_cut_norm_heuristic", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_the_sources_are_found():
     assert {"core.py", "metrics.py", "regularity.py"} <= {p.name for p in SOURCES}
 
@@ -70,6 +107,12 @@ def test_private_names_cross_modules_only_from_the_shared_set(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_values_are_written_only_while_constructed(path):
     assert late_setattrs(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_heuristic_cut_norm_is_reached_only_by_reports(path):
+    routes = {(path.name, *route) for route in heuristic_routes(path.read_text())}
+    assert routes <= HEURISTIC_ROUTES
 
 
 def test_the_checks_see_violations():
@@ -86,3 +129,11 @@ def test_the_checks_see_violations():
         "    object.__setattr__(p, '_memo', 1)\n"
         "    def __init__(q):\n"
         "        object.__setattr__(q, 'y', 2)\n") == [5]
+    assert heuristic_routes(
+        "def _measured_report(w, p):\n"
+        "    return cut_norm(r, mode='heuristic')\n"
+        "def check(r, a):\n"
+        "    low = core.cut_norm(r, 'heuristic') <= cut_norm(r, mode='exact')\n"
+        "    return _cut_norm_heuristic(a, 20, 0)\n") == [
+        ("cut_norm", "_measured_report"), ("cut_norm", "check"),
+        ("_cut_norm_heuristic", "check")]

@@ -128,38 +128,35 @@ def _count_enumerations(monkeypatch):
     return calls
 
 
-def _no_heuristic(monkeypatch):
-    monkeypatch.setattr(gl.core, "_cut_norm_heuristic", lambda a, restarts, seed: 0.0)
-
-
-def test_net_from_partition_proves_its_check_from_the_heuristic(monkeypatch):
-    w, p = _certify_host()
-    p = _fresh(p)
-    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
-    exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
-    _, cost = gl.net_from_partition(w, p)
-    assert exact == [] and len(heuristic) == 1
-    assert cost <= 4.0 * gl.partition_cut_error(w, p)
-
-
 def test_net_from_partition_exact_path_decides(monkeypatch):
     w, p = _certify_host()
     p = _fresh(p)
     expected = gl.net_from_partition(w, p)
-    _no_heuristic(monkeypatch)
+    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
     exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
-    assert gl.net_from_partition(w, p) == expected
-    assert expected[1] > 0.0 and len(exact) == 1
+    assert gl.net_from_partition(w, _fresh(p)) == expected
+    assert expected[1] > 0.0 and len(exact) == 1 and heuristic == []
 
 
 def test_net_from_partition_raises_when_exact_falls_short(monkeypatch):
     w, p = _certify_host()
     p = _fresh(p)
     _, cost = gl.net_from_partition(w, p)
-    _no_heuristic(monkeypatch)
+    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
     monkeypatch.setattr(gl.core, "rectangle_max", lambda a: (cost / 8.0, 0.0))
     with pytest.raises(gl.CertificationError):
-        gl.net_from_partition(w, p)
+        gl.net_from_partition(w, _fresh(p))
+    assert heuristic == []
+
+
+def test_net_from_partition_above_the_guard_measures_no_cut_norm(monkeypatch):
+    w = gl.zoo.random_stepfunction(gl.core.CUT_NORM_MAX_STEPS + 1, seed=11)
+    p = random_partition(w.mu, 3, 11)
+    exact = _count_enumerations(monkeypatch)
+    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    centers, cost = gl.net_from_partition(w, p)
+    assert len(centers) == 3 and cost > 0.0
+    assert exact == [] and heuristic == []
 
 
 def test_szemeredi_error_reads_the_weak_reports_cut_norm(monkeypatch):

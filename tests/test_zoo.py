@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,25 @@ def test_binary_sym_depth1_matrix():
     assert w.k == 4
     expected = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
     assert w.w.tolist() == expected
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_binary_graphon_matches_its_pointwise_definition(depth):
+    def digit(x, level):  # the level-th binary digit of x after the point
+        return int(x * 2 ** level) % 2
+
+    sym, asym = binary_graphon(depth, "sym"), binary_graphon(depth, "asym")
+    mids = (np.arange(sym.k) + 0.5) / sym.k
+    for i, x in enumerate(mids):
+        for j, y in enumerate(mids):
+            high, low = max(x, y), min(x, y)
+            mixed = high > 0.5 >= low
+            expected = digit(high, math.floor(math.log2(1 / low))) if mixed else 0
+            assert sym.w[i, j] == expected
+    mids = (np.arange(asym.k1) + 0.5) / asym.k1
+    for i, x in enumerate(mids):
+        for j, y in enumerate(mids):
+            assert asym.w[i, j] == digit(x, math.ceil(math.log2(1 / y)))
 
 
 def test_binary_sym_separated_levels():
