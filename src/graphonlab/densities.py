@@ -1,11 +1,10 @@
 """Exact homomorphism-type densities of patterns in stepfunctions.
 
-Densities are exact sums over all assignments of pattern nodes to steps,
-evaluated as tensor contractions by one integrator. Rooted ("partial")
-variants fix some nodes at given steps; per our convention rooted nodes
-carry no measure factor, only the unassigned nodes are integrated.
-Bigraph densities enumerate one class only: given its steps, every node
-of the other class contributes an independent factor.
+Densities are exact sums over all assignments of pattern nodes to steps.
+Rooted ("partial") variants fix some nodes at given steps; per our
+convention rooted nodes carry no measure factor, only the unassigned
+nodes are integrated. A graph density is one planned einsum; a bigraph
+density is a broadcast product that enumerates one class only.
 """
 
 from __future__ import annotations
@@ -36,53 +35,6 @@ def _guard(n_nodes: int, k: int, what: str = "pattern") -> None:
             f"2^{PATTERN_GUARD_BITS:.0f}-assignment guard")
 
 
-def _integrate(factors, measures, fixed=None, out=()):
-    """Sum a product of step tensors over the assignments of its free nodes.
-
-    ``factors`` is a list of (tensor, nodes) pairs, one tensor axis per
-    node. Rooted nodes (``fixed``: node -> step) index their axes; every
-    other node is summed against its vector in ``measures``, except the
-    nodes in ``out``, which stay as the axes of the result, in that order.
-    The path is always planned, so numpy contracts a long product pair by
-    pair and stays within its operand limit.
-    """
-    fixed = fixed or {}
-    names = [*measures, *out]
-    if len(names) > len(_LETTERS):
-        raise SizeLimitError("pattern too large for tensor contraction")
-    letter = dict(zip(names, _LETTERS))
-    scalar = 1.0
-    operands, subs = [], []
-    for t, nodes in factors:
-        free = [v for v in nodes if v not in fixed]
-        if len(free) < len(nodes):
-            t = t[tuple(fixed.get(v, slice(None)) for v in nodes)]
-        if not free:
-            scalar *= float(t)
-            continue
-        operands.append(t)
-        subs.append("".join(letter[v] for v in free))
-    for v, mu in measures.items():
-        operands.append(mu)
-        subs.append(letter[v])
-    if not operands:
-        return scalar
-    spec = ",".join(subs) + "->" + "".join(letter[v] for v in out)
-    total = np.einsum(spec, *operands, optimize=True)
-    return total if scalar == 1.0 else scalar * total
-
-
-def _graph_factors(f: Graph, w: StepGraphon, induced: bool):
-    factors = [(w.w, e) for e in sorted(f.edges)]
-    if induced:
-        comp = 1.0 - w.w
-        for u in range(f.n):
-            for v in range(u + 1, f.n):
-                if (u, v) not in f.edges:
-                    factors.append((comp, (u, v)))
-    return factors
-
-
 def _check_assignment(x: StepAssignment, s, k: int, n: int, side: str = "") -> dict:
     s = set(int(v) for v in s)
     x = {int(a): int(b) for a, b in x.items()}
@@ -108,13 +60,39 @@ def induced_density(f: Graph, w: StepGraphon) -> float:
 
 def partial_density(f: Graph, s: Iterable[int], x: StepAssignment,
                     w: StepGraphon, induced: bool = False) -> float:
-    """Rooted density t_S(F, W; x): integrate only over V \\ S."""
+    """Rooted density t_S(F, W; x): integrate only over V \\ S.
+
+    One einsum, planned so that it stays within numpy's operand limit, over
+    the edge values (sorted edges), the non-edge values 1 - W if
+    ``induced``, then a measure per free node; rooted nodes index their axes.
+    """
     if f.n == 0:
         raise InvalidInputError("pattern graph has no nodes")
     _guard(f.n, w.k)
     fixed = _check_assignment(x, s, w.k, f.n)
-    measures = {v: w.mu for v in range(f.n) if v not in fixed}
-    return float(_integrate(_graph_factors(f, w, induced), measures, fixed))
+    free = [v for v in range(f.n) if v not in fixed]
+    if len(free) > len(_LETTERS):
+        raise SizeLimitError("pattern too large for tensor contraction")
+    letter = dict(zip(free, _LETTERS))
+    factors = [(w.w, e) for e in sorted(f.edges)]
+    if induced:
+        comp = 1.0 - w.w
+        factors += [(comp, (u, v)) for u in range(f.n) for v in range(u + 1, f.n)
+                    if (u, v) not in f.edges]
+    scalar, operands, subs = 1.0, [], []
+    for t, pair in factors:
+        ends = [v for v in pair if v in letter]
+        t = t[tuple(fixed.get(v, slice(None)) for v in pair)]
+        if not ends:
+            scalar *= float(t)
+            continue
+        operands.append(t)
+        subs.append("".join(letter[v] for v in ends))
+    operands += [w.mu] * len(free)
+    subs += letter.values()
+    if not operands:
+        return scalar
+    return scalar * float(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
 def bigraph_density(f: Bigraph, w: StepBigraphon, induced: bool = False) -> float:
@@ -139,13 +117,14 @@ def bigraph_integral(f: Bigraph, w: StepBigraphon, induced: bool = False,
                      y: StepAssignment | None = None) -> float:
     """Rooted bigraph density for checked roots, factored over one class.
 
-    The class with fewer free nodes (class 1 on a tie) is enumerated; its
-    free nodes x log2(its step count) must stay within the guard bits.
-    Given those steps, each node of the other class contributes its edge
-    values (and, if ``induced``, its non-edge values) summed against its
-    measure, or read at its rooted step. Nodes with the same neighbourhood
-    and root share one factor, raised to their multiplicity. Each factor
-    costs k^(enumerated free nodes) times the other class's step count.
+    The class with fewer free nodes (class 1 on a tie) is enumerated on a
+    grid, one axis per free node; free nodes x log2(its step count) must
+    stay within the guard bits. Each node of the other class gives a
+    factor: the product of its edge (and, if ``induced``, non-edge) rows,
+    laid along its neighbours' axes or read at their roots, summed against
+    its measure or read at its root; twins share a factor, raised to their
+    multiplicity. The last free neighbour's rows enter that sum as a matrix
+    product, so no array spans both the grid and the other class's steps.
     """
     x, y = x or {}, y or {}
     sides = [(f.n1, w.mu1, x), (f.n2, w.mu2, y)]
@@ -154,17 +133,28 @@ def bigraph_integral(f: Bigraph, w: StepBigraphon, induced: bool = False,
         sides.reverse()
         edges, mat = {(v, u) for u, v in edges}, mat.T
     (n_a, mu_a, x_a), (n_b, mu_b, x_b) = sides
-    free = {u: mu_a for u in range(n_a) if u not in x_a}
-    _guard(len(free), len(mu_a), "enumerated class")
+    axis = {u: i for i, u in enumerate(u for u in range(n_a) if u not in x_a)}
+    _guard(len(axis), len(mu_a), "enumerated class")
     comp = 1.0 - mat
+
+    def laid(t, u):  # u's rows at its root, or along its axis with b's steps last
+        shape = [len(mu_a) if i == axis.get(u) else 1 for i in axis.values()] + [len(mu_b)]
+        return t[x_a[u]] if u in x_a else t.reshape(shape)
+
     twins = Counter((tuple(u for u in range(n_a) if (u, v) in edges), x_b.get(v))
                     for v in range(n_b))
-    factors = []
+    grid = np.ones((len(mu_a),) * len(axis))
     for (nbrs, root), mult in twins.items():
-        touched = range(n_a) if induced else nbrs
-        pairs = [(mat if u in nbrs else comp, (u, -1)) for u in touched]
-        keep = tuple(u for u in touched if u in free)
-        measure, roots = ({-1: mu_b}, x_a) if root is None else ({}, {**x_a, -1: root})
-        t = _integrate(pairs, measure, roots, keep)
-        factors.append((t ** mult if mult > 1 else t, keep))
-    return float(_integrate(factors, free))
+        nu = mu_b if root is None else np.eye(len(mu_b))[root]  # a root is read, not summed
+        rows = {u: mat if u in nbrs else comp for u in (range(n_a) if induced else nbrs)}
+        last = max(rows.keys() & axis.keys(), default=None)
+        part = np.ones([1] * len(axis) + [len(mu_b)])
+        for u in [u for u in rows if u != last]:
+            part = part * laid(rows[u], u)
+        # the last free neighbour meets b's steps in a matrix product
+        factor = part @ nu if last is None else np.swapaxes(
+            part @ (rows[last] * nu).T, axis[last], -1)[..., 0]
+        grid = grid * factor ** mult
+    for _ in axis:
+        grid = grid @ mu_a
+    return float(grid)

@@ -72,6 +72,14 @@ def _number_array(path, key: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
+def _built(path, build, *args):
+    """``build(*args)``, naming the file in the constructor's input errors."""
+    try:
+        return build(*args)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}")
+
+
 def write_text(path, text: str) -> None:
     Path(path).write_text(text)
 
@@ -100,7 +108,7 @@ def _measure(path, d: dict, keys: str, count: str, measure: str) -> np.ndarray:
 def load_graphon(path) -> StepGraphon:
     d = load_json(path)
     mu = _measure(path, d, "k, mu, w", "k", "mu")
-    return StepGraphon(mu, _number_array(path, "w", d["w"]))
+    return _built(path, StepGraphon, mu, _number_array(path, "w", d["w"]))
 
 
 def write_bigraphon(path, w: StepBigraphon) -> None:
@@ -112,7 +120,7 @@ def load_bigraphon(path) -> StepBigraphon:
     d = load_json(path)
     mu1, mu2 = (_measure(path, d, "k1, k2, mu1, mu2, w", f"k{side}", f"mu{side}")
                 for side in "12")
-    return StepBigraphon(mu1, mu2, _number_array(path, "w", d["w"]))
+    return _built(path, StepBigraphon, mu1, mu2, _number_array(path, "w", d["w"]))
 
 
 # -- graphs -----------------------------------------------------------------
@@ -149,10 +157,7 @@ def _load_edge_list(path, build, node_counts: int):
     if len(lines) - 1 != m:
         raise InvalidInputError(f"{path}: header says {m} edges, found {len(lines) - 1}")
     edges = [_parse_ints(ln, 2, path, i + 2) for i, ln in enumerate(lines[1:])]
-    try:
-        return build(*counts, edges)
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}")
+    return _built(path, build, *counts, edges)
 
 
 def write_graph(path, g: Graph) -> None:
@@ -196,7 +201,7 @@ def load_partition(path, base) -> Partition:
             assign[step] = cid
     if sorted(assign) != list(range(len(base))):
         raise InvalidInputError(f"{path}: classes must cover steps 0..{len(base) - 1}")
-    return Partition(base, [assign[i] for i in range(len(base))], len(classes))
+    return _built(path, Partition, base, [assign[i] for i in range(len(base))], len(classes))
 
 
 def write_family(path, h: SetFamily) -> None:
@@ -216,7 +221,8 @@ def load_family(path) -> SetFamily:
     if not _is_int_lists(sets):
         raise InvalidInputError(f"{path}: sets must be a list of integer lists")
     weights = d.get("weights")
-    return SetFamily(m, sets, None if weights is None else _number_array(path, "weights", weights))
+    return _built(path, SetFamily, m, sets,
+                  None if weights is None else _number_array(path, "weights", weights))
 
 
 # -- reports and CSV matrices -----------------------------------------------

@@ -178,6 +178,8 @@ def greedy_packing(m: MetricView, eps: float) -> list[int]:
     farthest from the chosen ones (ties to the lowest index) until every
     point lies within < eps of one; the result is also an eps-cover.
     """
+    if not eps > 0:
+        raise InvalidInputError("eps must be positive")
     chosen = [int(np.argmax(m.dist @ m.mu))]
     mind = m.dist[chosen[0]].copy()
     while True:
@@ -195,7 +197,7 @@ def packing_number(m: MetricView, eps: float, mode: str = "exact") -> int:
     graph; greedy mode returns the size of a maximal packing built by
     farthest-point insertion, a lower bound.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidInputError("eps must be positive")
     if mode == "greedy":
         return len(greedy_packing(m, eps))
@@ -250,7 +252,7 @@ def average_net(m: MetricView, eps: float) -> tuple[list[int], float]:
     cost is nonincreasing during construction and 0 in the worst case
     (all points chosen).
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidInputError("eps must be nonnegative")
     costs = m.dist.T @ m.mu
     first = int(np.argmin(costs))

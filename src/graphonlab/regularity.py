@@ -132,7 +132,7 @@ def weak_partition_via_net(w: StepGraphon, eps_net: float) -> PartitionReport:
     """Weak regularity partition from an average eps-net in the similarity
     metric; the Voronoi cells of the net have cut error at most
     8 sqrt(achieved net cost)."""
-    if eps_net < 0:
+    if not eps_net >= 0:
         raise InvalidInputError("eps_net must be nonnegative")
     sim = similarity_metric(w)
     centers, cost = average_net(sim, eps_net)

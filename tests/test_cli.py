@@ -55,6 +55,15 @@ def test_density_nan_bigraphon_exit_2(workdir):
     assert "finite" in err
 
 
+def test_density_bigraphon_value_error_names_the_file(workdir):
+    bad = workdir / "empty.bigraphon"
+    bad.write_text('{"k1": 0, "k2": 1, "mu1": [], "mu2": [1.0], "w": [[]]}\n')
+    code, out, err = run_cli("density", "--bigraphon", bad,
+                             "--pattern", workdir / "2matching.bigraph")
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: mu1 must be a nonempty 1-d vector\n"
+
+
 @pytest.mark.parametrize("doc", [
     '{"k": 2, "mu": [0.5, 0.5], "w": [[0.0, 1.0], [1.0]]}',
     '{"k": 2, "mu": [0.5, 0.5], "w": [[0.0, "x"], ["x", 0.0]]}',
@@ -121,6 +130,14 @@ def test_partition_weak(workdir):
     assert doc["kind"] == "weak"
     assert doc["cut_error"] <= 8 * np.sqrt(doc["net_cost"]) + 1e-9
     assert doc["exact"] is True
+
+
+@pytest.mark.parametrize("eps_net", ["-0.1", "nan"])
+def test_partition_weak_with_a_negative_or_nan_eps_net_exit_2(workdir, eps_net):
+    code, out, err = run_cli("partition", "weak", workdir / "half8.graphon",
+                             "--eps-net", eps_net)
+    assert (code, out) == (2, "")
+    assert "eps_net must be nonnegative" in err
 
 
 def test_partition_ultra(workdir):
@@ -346,6 +363,16 @@ def test_size_guard_exit_4(workdir):
     code, _, err = run_cli("density", "--graphon", workdir / "big.graphon",
                            "--pattern", workdir / "k9.graph")
     assert code == 4
+
+
+def test_contraction_guard_exit_4(workdir):
+    # 53 nodes at k = 1 pass the assignments guard, but a graph density is
+    # one einsum with a letter per free node, and there are 52 letters
+    fileio.write_graph(workdir / "p53.graph", gl.Graph(53, [(0, 1)]))
+    code, out, err = run_cli("density", "--constant", "0.5",
+                             "--pattern", workdir / "p53.graph")
+    assert (code, out) == (4, "")
+    assert err == "size guard: pattern too large for tensor contraction\n"
 
 
 def test_determinism_byte_identical(workdir):

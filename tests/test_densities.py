@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def test_density_rejects_empty_and_oversized(k2_graphon):
     big = gl.zoo.random_stepfunction(32, seed=1)
     with pytest.raises(gl.SizeLimitError):
         gl.density(gl.Graph.complete(9), big)  # 9 * log2(32) = 45 > 40
+
+
+def test_density_contraction_guard_counts_free_nodes():
+    # k = 1 passes the assignments guard at any size; the einsum has one
+    # letter per free node and 52 letters
+    w = gl.StepGraphon(np.ones(1), np.full((1, 1), 0.5))
+    path53 = gl.Graph(53, [(i, i + 1) for i in range(52)])
+    with pytest.raises(gl.SizeLimitError, match="too large for tensor contraction"):
+        gl.density(path53, w)
+    with pytest.raises(gl.SizeLimitError, match="too large for tensor contraction"):
+        gl.induced_density(path53, w)
+    assert gl.partial_density(path53, [0], {0: 0}, w) == 0.5 ** 52
+    assert gl.density(gl.Graph(52, [(i, i + 1) for i in range(51)]), w) == 0.5 ** 51
 
 
 def test_partial_density_path_examples(k2_graphon, constant_half):
@@ -259,6 +273,28 @@ def test_bigraph_kernel_enumeration_guard():
                            np.zeros((32, 32)))
     with pytest.raises(gl.SizeLimitError):
         bigraph_integral(random_bigraph(9, 20, seed=0), big)  # 9 * log2(32) = 45 > 40
+
+
+def test_bigraph_kernel_large_host_in_small_memory():
+    # K_{2,2} at k = 512 (36 bits): each class-2 factor is a k^2 grid; a
+    # factor built as one k^2 x k array before its sum would take 1 GiB
+    k = 512
+    r = rng(512)
+    w = gl.StepBigraphon(r.dirichlet(np.ones(k)), r.dirichlet(np.ones(k)), r.random((k, k)))
+    f = gl.Bigraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    common = (w.w * w.mu2) @ w.w.T  # common[a, a'] = sum_c W(a, c) W(a', c) mu2(c)
+    tracemalloc.start()
+    try:
+        plain = gl.bigraph_density(f, w)
+        induced = gl.bigraph_density(f, w, induced=True)
+        rooted = gl.partial_bigraph_density(f, [0], [], {0: 7}, {}, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(plain - w.mu1 @ common ** 2 @ w.mu1) <= 1e-12
+    assert induced == plain  # K_{2,2} has no non-edges
+    assert abs(rooted - common[7] ** 2 @ w.mu1) <= 1e-12
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("induced", [False, True])

@@ -63,6 +63,30 @@ def test_malformed_arrays_are_input_errors(tmp_path, loader, doc):
         loader(path)
 
 
+def _load_two_step_partition(path):
+    return fileio.load_partition(path, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("loader,text,message", [
+    (fileio.load_graphon, '{"k": 1, "mu": [1.0], "w": [[1.5]]}',
+     "values must lie in [0.0, 1.0]"),
+    (fileio.load_bigraphon, '{"k1": 0, "k2": 1, "mu1": [], "mu2": [1.0], "w": [[]]}',
+     "mu1 must be a nonempty 1-d vector"),
+    (fileio.load_family, '{"m": 2, "weights": [0.5, 0.6], "sets": [[0]]}',
+     "weights must sum to 1 (tolerance 1e-9)"),
+    (_load_two_step_partition, '{"classes": [[0, 1], []]}',
+     "every partition class must be nonempty"),
+    (fileio.load_graph, "2 1\n0 5\n", "edge (0,5) out of range for 2 nodes"),
+    (fileio.load_bigraph, "1 1 1\n0 3\n", "edge (0,3) out of range for (1,1)"),
+], ids=["graphon", "bigraphon", "family", "partition", "graph", "bigraph"])
+def test_value_errors_name_the_file(tmp_path, loader, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(gl.InvalidInputError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_graph_round_trip(tmp_path):
     g = gl.Graph(5, [(0, 1), (2, 4), (1, 3)])
     path = tmp_path / "g.graph"

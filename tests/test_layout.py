@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Three rules keep the package's design honest:
+Four rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -16,7 +16,10 @@ Three rules keep the package's design honest:
   reached only where a report above 24 steps measures its cut error:
   ``cut_norm(..., mode="heuristic")`` only in
   ``regularity._measured_report``, and ``_cut_norm_heuristic`` only in
-  ``core.cut_norm``. So no check reads it.
+  ``core.cut_norm``. So no check reads it;
+- ``einsum`` is called only in ``densities.partial_density``: a graph
+  density is one planned einsum, and a bigraph density is a broadcast
+  product, so each pattern kind has one contraction.
 """
 
 import ast
@@ -34,6 +37,9 @@ SOURCES = sorted(Path(graphonlab.__file__).parent.glob("*.py"))
 HEURISTIC_ROUTES = {("regularity.py", "cut_norm", "_measured_report"),
                     ("core.py", "_cut_norm_heuristic", "cut_norm")}
 
+#: (module, enclosing function) of the one einsum call
+EINSUM_CALLERS = {("densities.py", "partial_density")}
+
 
 def private_imports(source: str) -> list[str]:
     """Private names imported from graphonlab modules (relative imports
@@ -47,24 +53,28 @@ def private_imports(source: str) -> list[str]:
     return names
 
 
-def late_setattrs(source: str) -> list[int]:
-    """Line numbers of ``object.__setattr__`` calls outside ``__init__``
-    and ``__post_init__``."""
-    lines = []
+def nodes_in_functions(source: str):
+    """Each node of the syntax tree, in depth-first order, with the name of
+    the innermost function around it (None at module level)."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__setattr__"
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
-                and function not in ("__init__", "__post_init__")):
-            lines.append(node.lineno)
+        yield node, function
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            yield from visit(child, function)
 
-    visit(ast.parse(source), None)
-    return lines
+    return visit(ast.parse(source), None)
+
+
+def late_setattrs(source: str) -> list[int]:
+    """Line numbers of ``object.__setattr__`` calls outside ``__init__``
+    and ``__post_init__``."""
+    return [node.lineno for node, function in nodes_in_functions(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+            and function not in ("__init__", "__post_init__")]
 
 
 def _called_name(node) -> str | None:
@@ -78,21 +88,20 @@ def heuristic_routes(source: str) -> list[tuple[str, str | None]]:
     a ``cut_norm`` call whose mode is "heuristic", and any use of
     ``_cut_norm_heuristic``."""
     found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for node, function in nodes_in_functions(source):
         if isinstance(node, ast.Call) and _called_name(node.func) == "cut_norm":
             modes = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "mode"]
             if any(isinstance(m, ast.Constant) and m.value == "heuristic" for m in modes):
                 found.append(("cut_norm", function))
         if _called_name(node) == "_cut_norm_heuristic":
             found.append(("_cut_norm_heuristic", function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
     return found
+
+
+def einsum_calls(source: str) -> list[str | None]:
+    """The enclosing function of each ``einsum`` call."""
+    return [function for node, function in nodes_in_functions(source)
+            if isinstance(node, ast.Call) and _called_name(node.func) == "einsum"]
 
 
 def test_the_sources_are_found():
@@ -113,6 +122,11 @@ def test_values_are_written_only_while_constructed(path):
 def test_the_heuristic_cut_norm_is_reached_only_by_reports(path):
     routes = {(path.name, *route) for route in heuristic_routes(path.read_text())}
     assert routes <= HEURISTIC_ROUTES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_einsum_is_called_only_for_graph_densities(path):
+    assert {(path.name, function) for function in einsum_calls(path.read_text())} <= EINSUM_CALLERS
 
 
 def test_the_checks_see_violations():
@@ -137,3 +151,9 @@ def test_the_checks_see_violations():
         "    return _cut_norm_heuristic(a, 20, 0)\n") == [
         ("cut_norm", "_measured_report"), ("cut_norm", "check"),
         ("_cut_norm_heuristic", "check")]
+    assert einsum_calls(
+        "def partial_density(f, w):\n"
+        "    return np.einsum('ab,a,b->', w.w, w.mu, w.mu)\n"
+        "def _integrate(spec, factors):\n"
+        "    return numpy.einsum(spec, *factors, optimize=True)\n"
+        "total = einsum('a->', mu)\n") == ["partial_density", "_integrate", None]

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 
@@ -304,11 +305,26 @@ def test_packing_greedy_lower_bound_and_monotone():
 
 def test_packing_number_guards(k2_graphon):
     nm = gl.neighborhood_metric(k2_graphon)
-    with pytest.raises(gl.InvalidInputError):
-        gl.packing_number(nm, 0.0)
+    for eps in (0.0, -0.5, float("nan")):
+        with pytest.raises(gl.InvalidInputError, match="eps must be positive"):
+            gl.packing_number(nm, eps)
     big = gl.neighborhood_metric(gl.zoo.random_stepfunction(21, seed=1))
     with pytest.raises(gl.SizeLimitError):
         gl.packing_number(big, 0.1)
+
+
+@pytest.mark.parametrize("eps", ["0.0", "-0.5", "nan"])
+def test_greedy_packing_rejects_an_eps_that_is_not_positive(eps):
+    # without the check the sweep never stops, so it runs in a child process
+    code = ("import graphonlab as gl\n"
+            "m = gl.neighborhood_metric(gl.zoo.half_graphon(4))\n"
+            "try:\n"
+            f"    gl.greedy_packing(m, float('{eps}'))\n"
+            "except gl.InvalidInputError as e:\n"
+            "    print(e)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "eps must be positive\n")
 
 
 def test_packing_dimension_interval():
@@ -347,6 +363,12 @@ def test_average_net_examples(k2_graphon):
     m = gl.neighborhood_metric(w)
     centers, cost = gl.average_net(m, 0.0)
     assert sorted(centers) == list(range(6)) and cost == 0.0
+
+
+@pytest.mark.parametrize("eps", [-0.5, float("nan")])
+def test_average_net_rejects_a_negative_or_nan_eps(k2_graphon, eps):
+    with pytest.raises(gl.InvalidInputError, match="eps must be nonnegative"):
+        gl.average_net(gl.neighborhood_metric(k2_graphon), eps)
 
 
 def test_average_net_cost_monotone_and_within_budget():

@@ -145,6 +145,25 @@ def test_aggregate_singleton_blocks_exact(wp):
     assert np.max(np.abs(out - reference_aggregate(w, p))) <= 1e-15
 
 
+@st.composite
+def bigraphs(draw, max_side=3):
+    """A bigraph with 1..max_side nodes per class and any edge set."""
+    n1, n2 = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = [(u, v) for u in range(n1) for v in range(n2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return gl.Bigraph(n1, n2, [c for c, b in zip(cells, keep) if b])
+
+
+@PROPERTY_SETTINGS
+@given(hosts(), bigraphs())
+def test_bigraph_density_of_a_graphon_is_its_graph_density(w, f):
+    """t^b(F, W) = t(G_F, W) for G_F, F as a graph on n1 + n2 nodes: the
+    bigraph route (one class enumerated by broadcasting) and the graph
+    route (one einsum) agree."""
+    g = gl.Graph(f.n1 + f.n2, [(u, f.n1 + v) for u, v in f.edges])
+    assert abs(gl.bigraph_density(f, gl.as_bigraphon(w)) - gl.density(g, w)) <= 1e-12
+
+
 @PROPERTY_SETTINGS
 @given(hosts(), st.data())
 def test_split_and_permutation_preserve_densities(w, data):
