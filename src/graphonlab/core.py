@@ -30,8 +30,8 @@ MEASURE_TOL = 1e-9
 #: largest step count for which the exact cut norm is attempted (2^k subsets)
 CUT_NORM_MAX_STEPS = 24
 
-#: elements of one block of subset sums swept by rectangle_max
-RECTANGLE_BLOCK = 1 << 18
+#: pair-column evaluations in one block swept by rectangle_max
+RECTANGLE_BLOCK = 1 << 16
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -360,6 +360,29 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _pair_gains(h: np.ndarray, lows: np.ndarray, c: int) -> np.ndarray:
+    """sum_j max(0, h_j + l_j) for each row h of ``h`` and each of the first
+    ``c`` columns l of ``lows``, the floats the full sweep computes.
+
+    The whole table is one broadcast, the full sweep's own expression. With
+    two or more columns numpy adds its middle axis in column order
+    j = 0..m-1 (with one, k = 1, it adds each row pairwise, as the full
+    sweep did). A prefix, c below the column count, so two or more
+    columns, is added one column j at a time in the same order.
+    """
+    if c == lows.shape[1]:
+        cols = h[:, :, None] + lows
+        np.maximum(cols, 0.0, out=cols)
+        return cols.sum(axis=1)
+    gain = h[:, 0, None] + lows[0, :c]
+    np.maximum(gain, 0.0, out=gain)
+    for j in range(1, h.shape[1]):
+        term = h[:, j, None] + lows[j, :c]
+        np.maximum(term, 0.0, out=term)
+        gain += term
+    return gain
+
+
 def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     """Largest positive and negative rectangle sums of ``a``:
     (max_{S,T} sum_{S x T} a, max_{S,T} -sum_{S x T} a), both >= 0.
@@ -369,9 +392,39 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     sum_j max(0, -c_j) = sum_j max(0, c_j) - sum_j c_j gives both from one
     pass. All-zero rows and columns are dropped first (exact), and the
     shorter side is enumerated. Meet in the middle: the subset sums of
-    each half of the rows are tabulated once, and blocks of high-half sums
-    are swept against the whole low-half table, so the 2^k subsets cost
-    O(2^k m) time in O(2^{k/2} m + RECTANGLE_BLOCK) memory.
+    each half of the rows are tabulated once, a high-half sum h and a
+    low-half sum l make one row set with column sums h + l, and the pair
+    is evaluated as fl(h_j + l_j), then max(0, .), summed in column order
+    j = 0..m-1, its negative side as that sum minus (h total + l total).
+
+    Pairs that cannot beat the best value found so far are skipped, by the
+    separable bound max(0, x + y) <= max(0, x) + max(0, y): the positive
+    side of (h, l) is at most P_h + Q_l, with P_h = sum_j max(0, h_j) and
+    Q_l = sum_j max(0, l_j), and the negative side at most N_h + N'_l,
+    the same with -h and -l. Each side is swept in turn: the high sums in
+    decreasing order of their bound, in blocks, against the low sums in
+    decreasing order of theirs, so a block sweeps the prefix of low sums
+    whose bound with the block's first high sum, plus ``margin``, beats
+    the best value of that side; the side ends when no low sum does. Every
+    pair swept updates both sides. A skipped pair never holds a larger
+    value, so both results equal the full sweep's bit for bit.
+
+    ``margin`` is 4 (k + m) 2^-53 sum|a| for a k x m matrix, plus k + m
+    units of the smallest subnormal for the gradual-underflow range. Let
+    A = sum_j (|h_j| + |l_j|) <= (1 + k 2^-53) sum|a| for a pair. To first
+    order in 2^-53, an evaluated side exceeds its exact value by at most
+    (2m + 1) 2^-53 A, and the rounded bound and the comparison fall short
+    of the exact bound by at most (m + 2) 2^-53 A; together that is below
+    ``margin``.
+
+    An enumeration of at most ``RECTANGLE_BLOCK`` pair columns (2^k m) is
+    one block, swept whole without bounds. A block whose prefix is over
+    three quarters of the low table is swept whole, without gathering, as
+    the full sweep did, and a high sum swept whole is not swept again for
+    the other side. So the worst case, which skips almost nothing (on an
+    entrywise nonnegative matrix the negative side is rounding noise below
+    ``margin``), costs the full sweep's O(2^k m) time, in
+    O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
     a = np.asarray(a, dtype=float)
     a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
@@ -379,20 +432,49 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
         return 0.0, 0.0
     if a.shape[0] > a.shape[1]:
         a = a.T
-    half = a.shape[0] // 2
+    k, m = a.shape
+    half = k // 2
     low = _subset_sums(a[:half]).T.copy()
     high = _subset_sums(a[half:])
     low_total, high_total = low.sum(axis=0), high.sum(axis=1)
-    step = max(1, RECTANGLE_BLOCK // low.size)
-    pos = neg = 0.0
-    for start in range(0, len(high), step):
-        cols = high[start:start + step, :, None] + low
-        np.maximum(cols, 0.0, out=cols)
-        gain = cols.sum(axis=1)
-        pos = max(pos, float(gain.max()))
-        gain -= high_total[start:start + step, None] + low_total
-        neg = max(neg, float(gain.max()))
-    return pos, neg
+    if len(high) * low.size <= RECTANGLE_BLOCK:
+        # one block holds every pair: the bounds would cost more than they skip
+        gain = _pair_gains(high, low, low.shape[1])
+        neg = gain - (high_total[:, None] + low_total)
+        return max(0.0, float(gain.max())), max(0.0, float(neg.max()))
+    margin = (k + m) * (2.0 ** -51 * float(np.abs(a).sum()) + 2.0 ** -1074)
+    best = [0.0, 0.0]
+    whole = np.zeros(len(high), dtype=bool)
+    for side, sign in enumerate((1.0, -1.0)):
+        high_bound = np.maximum(sign * high, 0.0).sum(axis=1)
+        low_bound = np.maximum(sign * low, 0.0).sum(axis=0)
+        rows_by_bound = np.argsort(-high_bound, kind="stable")
+        order = np.argsort(-low_bound, kind="stable")
+        # in C order, as the full sweep's table: the whole-table sum's
+        # order of addition follows the layout
+        low_bound, lows = low_bound[order], low.T[order].T.copy()
+        lows_total = low_total[order]
+        start = 0
+        while start < len(rows_by_bound):
+            live = (high_bound[rows_by_bound[start]] + low_bound) + margin > best[side]
+            c = int(np.count_nonzero(live))
+            if c == 0:
+                break
+            # one high sum first, so a best value exists before blocks grow
+            size = max(1, RECTANGLE_BLOCK // (m * c)) if start else 1
+            rows = rows_by_bound[start:start + size]
+            start += size
+            rows = rows[~whole[rows]]
+            if rows.size == 0:
+                continue
+            if 4 * c > 3 * len(order):
+                c = len(order)
+                whole[rows] = True
+            gain = _pair_gains(high[rows], lows, c)
+            best[0] = max(best[0], float(gain.max()))
+            gain -= high_total[rows, None] + lows_total[:c]
+            best[1] = max(best[1], float(gain.max()))
+    return best[0], best[1]
 
 
 def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
@@ -401,14 +483,15 @@ def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
     best = 0.0
     starts = [np.ones(k), (a.sum(axis=1) > 0).astype(float)]
     starts += [(rng.random(k) < 0.5).astype(float) for _ in range(restarts)]
-    for b in (a, -a):
-        for s0 in starts:
-            s = s0.copy()
+    for sign in (1.0, -1.0):
+        for s in starts:
+            u = sign * (s @ a)
             val = -np.inf
             for _ in range(100):
-                t = (s @ b > 0).astype(float)
-                s = (b @ t > 0).astype(float)
-                new = float(s @ b @ t)
+                t = (u > 0).astype(float)
+                s = (sign * (a @ t) > 0).astype(float)
+                u = sign * (s @ a)
+                new = float(u @ t)
                 if new <= val:
                     break
                 val = new
@@ -423,8 +506,11 @@ def cut_norm(r: StepKernel, mode: str = "exact") -> float:
     unions of steps: with fractional memberships the objective is bilinear
     and a box-constrained bilinear maximum sits at a vertex. Exact mode
     (k <= 24) is ``rectangle_max``: all 2^k row subsets, with the optimal
-    column set per sign, in O(2^k k) time and bounded working memory,
-    after dropping zero rows and columns. Heuristic mode runs an
+    column set per sign, after dropping zero rows and columns; subsets
+    that a separable bound (with a proven rounding margin) shows cannot
+    win are skipped, so the value is bit-identical to the full
+    enumeration's, in O(2^k k) time at worst and bounded working memory.
+    Heuristic mode runs an
     alternating sign-greedy ascent from 20 random restarts under the fixed
     seed 0, so it is deterministic, and returns a lower bound: every value
     it reaches is the sum of an actual rectangle. An all-zero kernel (such

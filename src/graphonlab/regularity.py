@@ -149,7 +149,8 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     every block's best positive rectangle (or leave it empty), and
     likewise for the negative sign; the result is the larger total. One
     ``rectangle_max`` call per block gives both signs, exactly, in
-    O(2^k k) time and bounded working memory; blocks of W - W_P that are
+    O(2^k k) time at worst (it skips the row subsets that a separable
+    bound rules out) and bounded working memory; blocks of W - W_P that are
     identically 0 cost nothing, and singleton x singleton blocks always
     are, since ``aggregate`` reproduces W there exactly.
 

@@ -85,6 +85,33 @@ def reference_rectangle_max(a):
     return pos, neg
 
 
+def unpruned_rectangle_max(a):
+    """The meet-in-the-middle sweep ``rectangle_max`` prunes: every pair of
+    a high-half and a low-half row subset, in blocks of high-half sums
+    against the whole low-half table (2^18 elements a block). The pruned
+    kernel must return the same two floats bit for bit."""
+    a = np.asarray(a, dtype=float)
+    a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
+    if a.size == 0:
+        return 0.0, 0.0
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    half = a.shape[0] // 2
+    low = gl.core._subset_sums(a[:half]).T.copy()
+    high = gl.core._subset_sums(a[half:])
+    low_total, high_total = low.sum(axis=0), high.sum(axis=1)
+    step = max(1, (1 << 18) // low.size)
+    pos = neg = 0.0
+    for start in range(0, len(high), step):
+        cols = high[start:start + step, :, None] + low
+        np.maximum(cols, 0.0, out=cols)
+        gain = cols.sum(axis=1)
+        pos = max(pos, float(gain.max()))
+        gain -= high_total[start:start + step, None] + low_total
+        neg = max(neg, float(gain.max()))
+    return pos, neg
+
+
 def reference_row_l1(values, weights):
     """The broadcast formula the row sweep replaced: |row_i - row_j| for
     every ordered pair, weighted, then symmetrised with a zero diagonal."""

@@ -5,7 +5,7 @@ import graphonlab as gl
 from graphonlab.core import operator_product_values
 
 from conftest import (brute_cut_norm, random_partition, reference_aggregate,
-                      reference_rectangle_max, rng)
+                      reference_rectangle_max, rng, unpruned_rectangle_max)
 
 
 def test_graphon_from_graph_k2(k2_graphon):
@@ -163,7 +163,7 @@ def _assert_rectangle_max_matches(a):
 
 
 def test_rectangle_max_matches_reference_square():
-    # k up to 18 runs the block sweep several times; odd k splits unevenly
+    # k up to 18 sweeps several blocks per side; odd k splits unevenly
     r = rng(11)
     for k in range(1, 19):
         a = r.standard_normal((k, k)) / k
@@ -191,6 +191,91 @@ def test_rectangle_max_zero_rows_and_columns():
     single = np.zeros((8, 8))
     single[3, 5] = -0.25
     assert gl.rectangle_max(single) == (0.0, 0.25)
+
+
+def _residual_array(w, p):
+    r = gl.difference(w, gl.aggregate(w, p))
+    return r.mu[:, None] * r.mu[None, :] * r.w
+
+
+def _rectangle_fuzz():
+    """Matrices on which the pruned kernel must equal the unpruned sweep;
+    those with 2^k m above ``RECTANGLE_BLOCK`` (k >= 13 here) prune."""
+    r = rng(21)
+    for k in range(1, 21):
+        a = r.standard_normal((k, k))
+        yield a + a.T
+    for k1, k2 in [(1, 9), (2, 12), (3, 3), (3, 17), (6, 11), (9, 20), (12, 15), (17, 18)]:
+        a = r.standard_normal((k1, k2))
+        yield a
+        yield a.T
+    for _ in range(6):
+        a = r.standard_normal((20, 19))
+        a[r.random(20) < 0.3] = 0.0
+        a[:, r.random(19) < 0.3] = 0.0
+        yield a
+    for k in (2, 10, 17):
+        yield np.outer(r.standard_normal(k), r.standard_normal(k))
+    # the best pair's high sum ranks low by its bound: a sweep that stops
+    # early returns a smaller value here
+    for k, m in ((13, 13), (14, 16), (16, 18)):
+        yield np.outer(r.standard_normal(k), r.standard_normal(m)) + 0.3 * r.standard_normal((k, m))
+        yield r.standard_normal((k, m)) * r.choice([0.01, 1.0], k)[:, None]
+    for k in (8, 15, 20):
+        yield np.abs(r.standard_normal((k, k)))
+    for k in (9, 14, 18):
+        yield r.choice([-1.0, 1.0], (k, k))
+    for scale in (1e-200, 1e200):
+        for k in (13, 16):
+            yield scale * r.standard_normal((k, k))
+    for k in (13, 14, 15, 16):
+        w = gl.zoo.random_stepfunction(k, seed=100 + k)
+        yield _residual_array(w, gl.Partition.trivial(w.mu))
+    for n in (9, 16, 20):
+        h = gl.zoo.half_graphon(n)
+        yield _residual_array(h, gl.Partition.trivial(h.mu))
+        p = gl.Partition(h.mu, [int(i >= 2 * n // 3) for i in range(n)])
+        a = _residual_array(h, p)
+        for si in p.classes():
+            for sj in p.classes():
+                yield a[np.ix_(si, sj)]
+
+
+def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
+    paths = set()
+
+    class Numpy:
+        """numpy as ``core`` sees it, noting each sweep's evaluation path:
+        a 3-d block is a whole low table, a 2-d one a pruned prefix."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def maximum(x, y, out=None):
+            if out is not None:
+                paths.add(out.ndim)
+            return np.maximum(x, y, out=out)
+
+    monkeypatch.setattr(gl.core, "np", Numpy())
+    for a in _rectangle_fuzz():
+        got, want = gl.rectangle_max(a), unpruned_rectangle_max(a)
+        assert [v.hex() for v in got] == [v.hex() for v in want], a.shape
+    assert paths == {2, 3}
+
+
+#: cut norms of W - W_P on the trivial partition of
+#: ``random_stepfunction(k, seed=k)``, as the unpruned sweep computed them;
+#: a kernel change that moves a bit fails here by name
+PINNED_CUT_NORMS = {14: "0x1.6445a07d84a47p-5", 16: "0x1.2f69a9bde6be0p-5",
+                    18: "0x1.7a55a606be218p-5", 20: "0x1.62c78cdb2717bp-5"}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_CUT_NORMS))
+def test_cut_norm_pinned_bits(k):
+    w = gl.zoo.random_stepfunction(k, seed=k)
+    r = gl.difference(w, gl.aggregate(w, gl.Partition.trivial(w.mu)))
+    assert gl.cut_norm(r).hex() == PINNED_CUT_NORMS[k]
 
 
 def test_cut_norm_heuristic_lower_bound():

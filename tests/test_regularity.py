@@ -74,6 +74,15 @@ def test_szemeredi_error_matches_brute_force():
         assert abs(gl.szemeredi_error(w, p) - brute_szemeredi_error(w, p)) <= 1e-12
 
 
+def test_szemeredi_error_pinned_bits():
+    # two classes, so four rectangle_max blocks (14x14, 14x6, 6x14, 6x6);
+    # the value the unpruned sweep computed, so a kernel change that moves
+    # a bit fails here by name
+    w = gl.zoo.random_stepfunction(20, seed=3)
+    p = gl.Partition(w.mu, [0] * 14 + [1] * 6)
+    assert gl.szemeredi_error(w, p).hex() == "0x1.6151204929c7dp-5"
+
+
 def test_szemeredi_error_size_guard():
     w = gl.zoo.random_stepfunction(21, seed=1)
     with pytest.raises(gl.SizeLimitError):
