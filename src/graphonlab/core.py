@@ -354,33 +354,38 @@ def l1_norm(r: StepKernel) -> float:
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     # row s is the sum of the rows whose bits are set in s, built by doubling
-    sums = np.zeros((1, rows.shape[1]))
-    for row in rows:
-        sums = np.concatenate((sums, sums + row))
+    sums = np.empty((1 << len(rows), rows.shape[1]))
+    sums[0] = 0.0
+    for i, row in enumerate(rows):
+        np.add(sums[:1 << i], row, out=sums[1 << i:2 << i])
     return sums
 
 
-def _pair_gains(h: np.ndarray, lows: np.ndarray, c: int) -> np.ndarray:
-    """sum_j max(0, h_j + l_j) for each row h of ``h`` and each of the first
-    ``c`` columns l of ``lows``, the floats the full sweep computes.
+def _pair_gains(h: np.ndarray, lows: np.ndarray, cols: slice) -> np.ndarray:
+    """sum_j max(0, h_j + l_j) for each row h of ``h`` and each low sum l in
+    the columns ``cols`` of the low table ``lows``, the floats the full
+    sweep computes.
 
-    The whole table is one broadcast, the full sweep's own expression. With
-    two or more columns numpy adds its middle axis in column order
-    j = 0..m-1 (with one, k = 1, it adds each row pairwise, as the full
-    sweep did). A prefix, c below the column count, so two or more
-    columns, is added one column j at a time in the same order.
+    Two or more columns, and the whole table, are one (rows, m, c)
+    broadcast summed over its middle axis, the full sweep's own
+    expression: numpy adds that axis in column order j = 0..m-1, whatever
+    the prefix or table width (with a one-column table, k = 1, it adds each
+    row pairwise, as the full sweep did). One column of a wider table is
+    added one column j at a time in the same order, since as an
+    (rows, m, 1) broadcast numpy would add each row pairwise.
     """
-    if c == lows.shape[1]:
-        cols = h[:, :, None] + lows
-        np.maximum(cols, 0.0, out=cols)
-        return cols.sum(axis=1)
-    gain = h[:, 0, None] + lows[0, :c]
-    np.maximum(gain, 0.0, out=gain)
-    for j in range(1, h.shape[1]):
-        term = h[:, j, None] + lows[j, :c]
-        np.maximum(term, 0.0, out=term)
-        gain += term
-    return gain
+    block = lows[:, cols]
+    if block.shape[1] == 1 < lows.shape[1]:
+        gain = h[:, 0, None] + block[0]
+        np.maximum(gain, 0.0, out=gain)
+        for j in range(1, h.shape[1]):
+            term = h[:, j, None] + block[j]
+            np.maximum(term, 0.0, out=term)
+            gain += term
+        return gain
+    gains = h[:, :, None] + block
+    np.maximum(gains, 0.0, out=gains)
+    return gains.sum(axis=1)
 
 
 def rectangle_max(a: np.ndarray) -> tuple[float, float]:
@@ -397,34 +402,53 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     is evaluated as fl(h_j + l_j), then max(0, .), summed in column order
     j = 0..m-1, its negative side as that sum minus (h total + l total).
 
-    Pairs that cannot beat the best value found so far are skipped, by the
-    separable bound max(0, x + y) <= max(0, x) + max(0, y): the positive
-    side of (h, l) is at most P_h + Q_l, with P_h = sum_j max(0, h_j) and
-    Q_l = sum_j max(0, l_j), and the negative side at most N_h + N'_l,
-    the same with -h and -l. Each side is swept in turn: the high sums in
-    decreasing order of their bound, in blocks, against the low sums in
-    decreasing order of theirs, so a block sweeps the prefix of low sums
-    whose bound with the block's first high sum, plus ``margin``, beats
-    the best value of that side; the side ends when no low sum does. Every
-    pair swept updates both sides. A skipped pair never holds a larger
-    value, so both results equal the full sweep's bit for bit.
+    Pairs that cannot beat the best value found so far are skipped, by a
+    separable bound. For any c_j, max(0, x + y) <= max(0, x - c_j) +
+    max(0, y + c_j), so for any vector c the side of sign s (+1 or -1) of
+    (h, l), sum_j max(0, s h_j + s l_j), is at most P_h + Q_l, with
+    P_h = sum_j max(0, s h_j - c_j) and Q_l = sum_j max(0, s l_j + c_j).
+    Each side is centred on a seed pair (h*, l*) of its own: the high sum
+    with the largest P_h at c = 0 is evaluated against every low sum, then
+    the low sum best for that side against every high sum, and the best
+    high sum there is h*. With c = (s h* - s l*) / 2 both halves of each
+    column of the seed are equal, so the bound is tight at the seed, and
+    tight near the optimum when the seed is near it. Then the high sums, in
+    decreasing order of P, are swept in blocks against the low sums in
+    decreasing order of Q: a block sweeps the prefix of low sums whose
+    bound with the block's first high sum, plus ``margin``, beats the best
+    value of that side, and the side ends when no low sum does. A block
+    ends where a high sum's own prefix would fall below half of the first
+    one's, or at ``RECTANGLE_BLOCK`` pair columns; that choice only moves
+    time. Every pair evaluated updates both sides. A skipped pair never
+    holds a larger value, so both results equal the full sweep's bit for
+    bit.
 
-    ``margin`` is 4 (k + m) 2^-53 sum|a| for a k x m matrix, plus k + m
-    units of the smallest subnormal for the gradual-underflow range. Let
-    A = sum_j (|h_j| + |l_j|) <= (1 + k 2^-53) sum|a| for a pair. To first
-    order in 2^-53, an evaluated side exceeds its exact value by at most
-    (2m + 1) 2^-53 A, and the rounded bound and the comparison fall short
-    of the exact bound by at most (m + 2) 2^-53 A; together that is below
-    ``margin``.
+    ``margin`` is 4 (k + m) 2^-53 (sum|a| + 2 sum|c|) for a k x m matrix,
+    plus k + m units of the smallest subnormal for the rounding of the
+    margin itself where it is subnormal (a sum or difference that lands
+    there is exact). Let A = sum_j (|h_j| + |l_j|) <= (1 + k 2^-53) sum|a|
+    for a pair and C = sum_j |c_j|. To first order in 2^-53:
+
+    - the evaluated positive side exceeds the exact side of the stored h
+      and l by at most 2^-53 A for fl(h_j + l_j) and (m - 1) 2^-53 A for
+      its sum; the negative side adds (m - 1) 2^-53 A for the two totals,
+      2^-53 A for their sum and 2^-53 A for the difference: (2m + 1) 2^-53 A;
+    - each term fl(s h_j - c_j) of P and fl(s l_j + c_j) of Q is off by at
+      most 2^-53 (|h_j| + |c_j|) and 2^-53 (|l_j| + |c_j|), each sum adds
+      (m - 1) times as much, and fl(P + Q) and adding ``margin`` round
+      once each, so the rounded bound falls short of the exact bound by at
+      most (m + 2) 2^-53 (A + 2C); the comparison is exact.
+
+    Together that is at most (3m + 3) 2^-53 (A + 2C), below ``margin``. The
+    bound holds for the computed c as it is, whatever its rounding, as long
+    as both tables are shifted by the same c; the centre only decides
+    which pairs are swept.
 
     An enumeration of at most ``RECTANGLE_BLOCK`` pair columns (2^k m) is
-    one block, swept whole without bounds. A block whose prefix is over
-    three quarters of the low table is swept whole, without gathering, as
-    the full sweep did, and a high sum swept whole is not swept again for
-    the other side. So the worst case, which skips almost nothing (on an
-    entrywise nonnegative matrix the negative side is rounding noise below
-    ``margin``), costs the full sweep's O(2^k m) time, in
-    O(2^{k/2} m + RECTANGLE_BLOCK) memory.
+    one block, swept whole without bounds. The worst case skips almost
+    nothing (on an entrywise nonnegative matrix the negative side is
+    rounding noise below ``margin``) and costs about the full sweep's
+    O(2^k m) time, in O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
     a = np.asarray(a, dtype=float)
     a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
@@ -437,43 +461,48 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     low = _subset_sums(a[:half]).T.copy()
     high = _subset_sums(a[half:])
     low_total, high_total = low.sum(axis=0), high.sum(axis=1)
+    best = [0.0, 0.0]
+
+    def evaluate(rows, lows, lows_total, cols):
+        # both sides of every pair in rows x cols, noted in ``best``
+        gain = _pair_gains(high[rows], lows, cols)
+        neg = gain - (high_total[rows, None] + lows_total[cols])
+        best[0] = max(best[0], float(gain.max()))
+        best[1] = max(best[1], float(neg.max()))
+        return gain, neg
+
     if len(high) * low.size <= RECTANGLE_BLOCK:
         # one block holds every pair: the bounds would cost more than they skip
-        gain = _pair_gains(high, low, low.shape[1])
-        neg = gain - (high_total[:, None] + low_total)
-        return max(0.0, float(gain.max())), max(0.0, float(neg.max()))
-    margin = (k + m) * (2.0 ** -51 * float(np.abs(a).sum()) + 2.0 ** -1074)
-    best = [0.0, 0.0]
-    whole = np.zeros(len(high), dtype=bool)
+        evaluate(slice(None), low, low_total, slice(None))
+        return best[0], best[1]
+    scale = float(np.abs(a).sum())
     for side, sign in enumerate((1.0, -1.0)):
-        high_bound = np.maximum(sign * high, 0.0).sum(axis=1)
-        low_bound = np.maximum(sign * low, 0.0).sum(axis=0)
+        # the seed pair (h*, l*) and the centre c, as the docstring says
+        seed = int(np.argmax(np.maximum(sign * high, 0.0).sum(axis=1)))
+        col = int(np.argmax(evaluate([seed], low, low_total, slice(None))[side]))
+        seed = int(np.argmax(evaluate(slice(None), low, low_total, slice(col, col + 1))[side]))
+        centre = (sign * high[seed] - sign * low[:, col]) / 2.0
+        margin = (k + m) * (2.0 ** -51 * (scale + 2.0 * float(np.abs(centre).sum()))
+                            + 2.0 ** -1074)
+        high_bound = np.maximum(sign * high - centre, 0.0).sum(axis=1)
+        low_bound = np.maximum(sign * low + centre[:, None], 0.0).sum(axis=0)
         rows_by_bound = np.argsort(-high_bound, kind="stable")
+        high_bound = high_bound[rows_by_bound]
         order = np.argsort(-low_bound, kind="stable")
-        # in C order, as the full sweep's table: the whole-table sum's
-        # order of addition follows the layout
+        # in C order, as the full sweep's table: the broadcast's order of
+        # addition follows the layout
         low_bound, lows = low_bound[order], low.T[order].T.copy()
         lows_total = low_total[order]
         start = 0
         while start < len(rows_by_bound):
-            live = (high_bound[rows_by_bound[start]] + low_bound) + margin > best[side]
-            c = int(np.count_nonzero(live))
+            c = int(np.count_nonzero((high_bound[start] + low_bound) + margin > best[side]))
             if c == 0:
                 break
-            # one high sum first, so a best value exists before blocks grow
-            size = max(1, RECTANGLE_BLOCK // (m * c)) if start else 1
-            rows = rows_by_bound[start:start + size]
+            block_bounds = high_bound[start:start + max(1, RECTANGLE_BLOCK // (m * c))]
+            size = int(np.count_nonzero(
+                (block_bounds + low_bound[(c - 1) // 2]) + margin > best[side]))
+            evaluate(rows_by_bound[start:start + size], lows, lows_total, slice(c))
             start += size
-            rows = rows[~whole[rows]]
-            if rows.size == 0:
-                continue
-            if 4 * c > 3 * len(order):
-                c = len(order)
-                whole[rows] = True
-            gain = _pair_gains(high[rows], lows, c)
-            best[0] = max(best[0], float(gain.max()))
-            gain -= high_total[rows, None] + lows_total[:c]
-            best[1] = max(best[1], float(gain.max()))
     return best[0], best[1]
 
 
@@ -483,12 +512,16 @@ def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
     best = 0.0
     starts = [np.ones(k), (a.sum(axis=1) > 0).astype(float)]
     starts += [(rng.random(k) < 0.5).astype(float) for _ in range(restarts)]
+    firsts = [s @ a for s in starts]
     for sign in (1.0, -1.0):
-        for s in starts:
-            u = sign * (s @ a)
-            val = -np.inf
+        for first in firsts:
+            u = sign * first
+            t, val = None, -np.inf
             for _ in range(100):
-                t = (u > 0).astype(float)
+                new_t = (u > 0).astype(float)
+                if t is not None and np.array_equal(new_t, t):
+                    break  # the same t gives the same s, u and value
+                t = new_t
                 s = (sign * (a @ t) > 0).astype(float)
                 u = sign * (s @ a)
                 new = float(u @ t)
@@ -507,15 +540,17 @@ def cut_norm(r: StepKernel, mode: str = "exact") -> float:
     and a box-constrained bilinear maximum sits at a vertex. Exact mode
     (k <= 24) is ``rectangle_max``: all 2^k row subsets, with the optimal
     column set per sign, after dropping zero rows and columns; subsets
-    that a separable bound (with a proven rounding margin) shows cannot
-    win are skipped, so the value is bit-identical to the full
-    enumeration's, in O(2^k k) time at worst and bounded working memory.
-    Heuristic mode runs an
-    alternating sign-greedy ascent from 20 random restarts under the fixed
-    seed 0, so it is deterministic, and returns a lower bound: every value
-    it reaches is the sum of an actual rectangle. An all-zero kernel (such
-    as W - W_P on an all-singletons partition) returns 0.0 in either mode
-    without any search, after the exact mode's size guard.
+    that a separable bound, re-centred on a seed pair per sign and padded
+    by a proven rounding margin, shows cannot win are skipped, so the
+    value is bit-identical to the full enumeration's, in O(2^k k) time at
+    worst and bounded working memory. Heuristic mode runs an alternating
+    sign-greedy ascent from 20 random restarts under the fixed seed 0, so
+    it is deterministic, and returns a lower bound: every value it reaches
+    is the sum of an actual rectangle. An ascent stops when its column set
+    repeats (the next step would only reproduce the value) or its value
+    stops rising. An all-zero kernel (such as W - W_P on an all-singletons
+    partition) returns 0.0 in either mode without any search, after the
+    exact mode's size guard.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown cut norm mode {mode!r}")

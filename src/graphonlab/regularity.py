@@ -150,7 +150,8 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     likewise for the negative sign; the result is the larger total. One
     ``rectangle_max`` call per block gives both signs, exactly, in
     O(2^k k) time at worst (it skips the row subsets that a separable
-    bound rules out) and bounded working memory; blocks of W - W_P that are
+    bound, re-centred on a seed pair per sign, rules out, bit for bit) and
+    bounded working memory; blocks of W - W_P that are
     identically 0 cost nothing, and singleton x singleton blocks always
     are, since ``aggregate`` reproduces W there exactly.
 

@@ -85,6 +85,14 @@ def reference_rectangle_max(a):
     return pos, neg
 
 
+def _doubled_sums(rows):
+    # row s is the sum of the rows whose bits are set in s
+    sums = np.zeros((1, rows.shape[1]))
+    for row in rows:
+        sums = np.concatenate((sums, sums + row))
+    return sums
+
+
 def unpruned_rectangle_max(a):
     """The meet-in-the-middle sweep ``rectangle_max`` prunes: every pair of
     a high-half and a low-half row subset, in blocks of high-half sums
@@ -97,8 +105,8 @@ def unpruned_rectangle_max(a):
     if a.shape[0] > a.shape[1]:
         a = a.T
     half = a.shape[0] // 2
-    low = gl.core._subset_sums(a[:half]).T.copy()
-    high = gl.core._subset_sums(a[half:])
+    low = _doubled_sums(a[:half]).T.copy()
+    high = _doubled_sums(a[half:])
     low_total, high_total = low.sum(axis=0), high.sum(axis=1)
     step = max(1, (1 << 18) // low.size)
     pos = neg = 0.0

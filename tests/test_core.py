@@ -200,7 +200,8 @@ def _residual_array(w, p):
 
 def _rectangle_fuzz():
     """Matrices on which the pruned kernel must equal the unpruned sweep;
-    those with 2^k m above ``RECTANGLE_BLOCK`` (k >= 13 here) prune."""
+    those with 2^k m above ``RECTANGLE_BLOCK`` (k >= 13 here) prune,
+    each side re-centred on its own seed pair."""
     r = rng(21)
     for k in range(1, 21):
         a = r.standard_normal((k, k))
@@ -223,10 +224,28 @@ def _rectangle_fuzz():
         yield r.standard_normal((k, m)) * r.choice([0.01, 1.0], k)[:, None]
     for k in (8, 15, 20):
         yield np.abs(r.standard_normal((k, k)))
+        yield -np.abs(r.standard_normal((k, k)))
+    # one heavy row of the opposite sign draws the seed pair far from the
+    # optimum: the best pair the seed finds holds 0.17-0.75 of the best
+    # value, so the centre is far from the optimum's
+    for k, m in ((14, 14), (16, 16), (16, 40), (20, 20)):
+        a = 0.1 * r.standard_normal((k, m))
+        a[:k // 2, m // 4:] += 1.0
+        a[-1, :m // 4] = 5.0
+        a[-1, m // 4:] = -20.0
+        yield a
+        yield -a
+    # wider than tall: the enumerated side is the shorter one; one row
+    # past one block sweeps a one-column low table
+    for k, m in ((1, 40000), (13, 40), (14, 64), (16, 33)):
+        a = r.standard_normal((k, m))
+        yield a
+        yield a.T
     for k in (9, 14, 18):
         yield r.choice([-1.0, 1.0], (k, k))
-    for scale in (1e-200, 1e200):
-        for k in (13, 16):
+    # at 1e-300 the margin's 2^-51 (sum|a| + 2 sum|c|) is subnormal
+    for scale in (1e-300, 1e-200, 1e200):
+        for k in (13, 16, 20):
             yield scale * r.standard_normal((k, k))
     for k in (13, 14, 15, 16):
         w = gl.zoo.random_stepfunction(k, seed=100 + k)
@@ -245,8 +264,10 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
     paths = set()
 
     class Numpy:
-        """numpy as ``core`` sees it, noting each sweep's evaluation path:
-        a 3-d block is a whole low table, a 2-d one a pruned prefix."""
+        """numpy as ``core`` sees it, noting each evaluation's path: a
+        3-d block is one broadcast over two or more low sums (a prefix or
+        the whole table), a 2-d one the column loop over one low sum (every
+        seed column, and a block whose prefix is one low sum)."""
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -268,7 +289,8 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
 #: ``random_stepfunction(k, seed=k)``, as the unpruned sweep computed them;
 #: a kernel change that moves a bit fails here by name
 PINNED_CUT_NORMS = {14: "0x1.6445a07d84a47p-5", 16: "0x1.2f69a9bde6be0p-5",
-                    18: "0x1.7a55a606be218p-5", 20: "0x1.62c78cdb2717bp-5"}
+                    18: "0x1.7a55a606be218p-5", 20: "0x1.62c78cdb2717bp-5",
+                    22: "0x1.048169aa6e568p-5", 24: "0x1.ee4428c4fabfap-6"}
 
 
 @pytest.mark.parametrize("k", sorted(PINNED_CUT_NORMS))
@@ -276,6 +298,55 @@ def test_cut_norm_pinned_bits(k):
     w = gl.zoo.random_stepfunction(k, seed=k)
     r = gl.difference(w, gl.aggregate(w, gl.Partition.trivial(w.mu)))
     assert gl.cut_norm(r).hex() == PINNED_CUT_NORMS[k]
+
+
+def _column_loop(h, lows):
+    # sum_j max(0, h_j + l_j), added one column j at a time in column order
+    gain = np.maximum(h[:, 0, None] + lows[0], 0.0)
+    for j in range(1, h.shape[1]):
+        gain += np.maximum(h[:, j, None] + lows[j], 0.0)
+    return gain
+
+
+def test_pair_gains_broadcast_equals_the_column_loop_bit_for_bit():
+    # two or more low sums, a prefix or the whole table, are one broadcast;
+    # its sums must be the column loop's, the full sweep's order
+    r = rng(23)
+    for rows in (1, 2, 3, 5, 8, 13, 64):
+        for m in range(1, 25):
+            h = r.standard_normal((rows, m))
+            lows = r.standard_normal((m, 1024))
+            for c in (2, 3, 4, 7, 16, 33, 256, 1024):
+                got = gl.core._pair_gains(h, lows, slice(c))
+                assert np.array_equal(got, _column_loop(h, lows[:, :c])), (rows, m, c)
+
+
+def test_pair_gains_takes_the_column_loop_for_one_low_sum():
+    # an (rows, m, 1) broadcast is added pairwise, not in column order, so
+    # one low sum of a wider table takes the loop
+    r = rng(24)
+    pairwise = 0
+    for rows in (1, 2, 3, 8, 64):
+        for m in range(1, 25):
+            h = r.standard_normal((rows, m))
+            lows = r.standard_normal((m, 8))
+            want = _column_loop(h, lows[:, 3:4])
+            broadcast = np.maximum(h[:, :, None] + lows[:, 3:4], 0.0).sum(axis=1)
+            pairwise += not np.array_equal(broadcast, want)
+            assert np.array_equal(gl.core._pair_gains(h, lows, slice(3, 4)), want)
+    assert pairwise > 0
+
+
+def test_cut_norm_heuristic_pinned_bits():
+    # values computed before the ascent stopped on a repeated t; the same
+    # steps must give the same bits
+    w = gl.zoo.random_stepfunction(200, seed=200)
+    r = gl.difference(w, gl.aggregate(w, gl.Partition.trivial(w.mu)))
+    assert gl.cut_norm(r, mode="heuristic").hex() == "0x1.8e1df97dc9dcfp-7"
+    h = gl.zoo.half_graphon(300)
+    p = gl.Partition(h.mu, [i * 5 // 300 for i in range(300)])
+    r = gl.difference(h, gl.aggregate(h, p))
+    assert gl.cut_norm(r, mode="heuristic").hex() == "0x1.12956d9b1df76p-5"
 
 
 def test_cut_norm_heuristic_lower_bound():
