@@ -412,7 +412,11 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     the low sum best for that side against every high sum, and the best
     high sum there is h*. With c = (s h* - s l*) / 2 both halves of each
     column of the seed are equal, so the bound is tight at the seed, and
-    tight near the optimum when the seed is near it. Then the high sums, in
+    tight near the optimum when the seed is near it. Both sides' seeds are
+    found together: the two seed high sums in one evaluation, then the two
+    seed low sums against every high sum as C-order (m, rows) arrays
+    summed down their first axis, which adds the columns in order
+    j = 0..m-1, the full sweep's floats. Then the high sums, in
     decreasing order of P, are swept in blocks against the low sums in
     decreasing order of Q: a block sweeps the prefix of low sums whose
     bound with the block's first high sum, plus ``margin``, beats the best
@@ -445,10 +449,12 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     which pairs are swept.
 
     An enumeration of at most ``RECTANGLE_BLOCK`` pair columns (2^k m) is
-    one block, swept whole without bounds. The worst case skips almost
-    nothing (on an entrywise nonnegative matrix the negative side is
-    rounding noise below ``margin``) and costs about the full sweep's
-    O(2^k m) time, in O(2^{k/2} m + RECTANGLE_BLOCK) memory.
+    one block, swept whole without bounds, and so is a one-row matrix
+    (k = 1), whose one-column low table the full sweep adds pairwise. The
+    worst case skips almost nothing (on an entrywise nonnegative matrix
+    the negative side is rounding noise below ``margin``) and costs about
+    the full sweep's O(2^k m) time, in O(2^{k/2} m + RECTANGLE_BLOCK)
+    memory.
     """
     a = np.asarray(a, dtype=float)
     a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
@@ -471,37 +477,57 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
         best[1] = max(best[1], float(neg.max()))
         return gain, neg
 
-    if len(high) * low.size <= RECTANGLE_BLOCK:
-        # one block holds every pair: the bounds would cost more than they skip
+    if len(high) * low.size <= RECTANGLE_BLOCK or low.shape[1] == 1:
+        # one block holds every pair, and the bounds would cost more than
+        # they skip; or the low table has one column (k = 1): the full
+        # sweep adds it pairwise, and of the paths only this one does
         evaluate(slice(None), low, low_total, slice(None))
         return best[0], best[1]
-    scale = float(np.abs(a).sum())
-    for side, sign in enumerate((1.0, -1.0)):
-        # the seed pair (h*, l*) and the centre c, as the docstring says
-        seed = int(np.argmax(np.maximum(sign * high, 0.0).sum(axis=1)))
-        col = int(np.argmax(evaluate([seed], low, low_total, slice(None))[side]))
-        seed = int(np.argmax(evaluate(slice(None), low, low_total, slice(col, col + 1))[side]))
-        centre = (sign * high[seed] - sign * low[:, col]) / 2.0
-        margin = (k + m) * (2.0 ** -51 * (scale + 2.0 * float(np.abs(centre).sum()))
-                            + 2.0 ** -1074)
-        high_bound = np.maximum(sign * high - centre, 0.0).sum(axis=1)
-        low_bound = np.maximum(sign * low + centre[:, None], 0.0).sum(axis=0)
-        rows_by_bound = np.argsort(-high_bound, kind="stable")
-        high_bound = high_bound[rows_by_bound]
-        order = np.argsort(-low_bound, kind="stable")
+    # both signs' seed pairs (h*, l*) and centres c, as the docstring says;
+    # row 0 of each stacked array is the positive side, row 1 the negative
+    signs = np.array([[1.0], [-1.0]])
+
+    def bounds(table, shift, axis):
+        # sum along ``axis`` of max(0, s t + shift) for both signs s, in one
+        # buffer, so no stacked temporary outgrows a swept block
+        x = signs[:, :, None] * table
+        x += shift
+        return np.maximum(x, 0.0, out=x).sum(axis=axis)
+
+    seeds = np.argmax(bounds(high, 0.0, 2), axis=1)
+    gain, neg = evaluate(seeds, low, low_total, slice(None))
+    cols = [int(np.argmax(gain[0])), int(np.argmax(neg[1]))]
+    # each seed low sum against every high sum, one C-order (m, rows) array
+    # per seed summed down its first axis: in column order j = 0..m-1
+    seed_lows = low[:, cols].T
+    gain = np.add(high.T, seed_lows[:, :, None], order="C")
+    gain = np.maximum(gain, 0.0, out=gain).sum(axis=1)
+    neg = gain - (high_total + low_total[cols][:, None])
+    best[0], best[1] = max(best[0], float(gain.max())), max(best[1], float(neg.max()))
+    seeds = [int(np.argmax(gain[0])), int(np.argmax(neg[1]))]
+    centre = signs * (high[seeds] - seed_lows) / 2.0
+    margin = (k + m) * (2.0 ** -51 * (float(np.abs(a).sum())
+                                      + 2.0 * np.abs(centre).sum(axis=1)) + 2.0 ** -1074)
+    high_bound = bounds(high, -centre[:, None], 2)
+    low_bound = bounds(low, centre[:, :, None], 1)
+    rows_by_bound = np.argsort(-high_bound, axis=1, kind="stable")
+    high_bound = np.take_along_axis(high_bound, rows_by_bound, axis=1)
+    orders = np.argsort(-low_bound, axis=1, kind="stable")
+    low_bound = np.take_along_axis(low_bound, orders, axis=1)
+    for side in (0, 1):
+        rows, high_side, low_side = rows_by_bound[side], high_bound[side], low_bound[side]
         # in C order, as the full sweep's table: the broadcast's order of
         # addition follows the layout
-        low_bound, lows = low_bound[order], low.T[order].T.copy()
-        lows_total = low_total[order]
+        lows, lows_total = low.T[orders[side]].T.copy(), low_total[orders[side]]
         start = 0
-        while start < len(rows_by_bound):
-            c = int(np.count_nonzero((high_bound[start] + low_bound) + margin > best[side]))
+        while start < len(rows):
+            c = int(np.count_nonzero((high_side[start] + low_side) + margin[side] > best[side]))
             if c == 0:
                 break
-            block_bounds = high_bound[start:start + max(1, RECTANGLE_BLOCK // (m * c))]
+            block_bounds = high_side[start:start + max(1, RECTANGLE_BLOCK // (m * c))]
             size = int(np.count_nonzero(
-                (block_bounds + low_bound[(c - 1) // 2]) + margin > best[side]))
-            evaluate(rows_by_bound[start:start + size], lows, lows_total, slice(c))
+                (block_bounds + low_side[(c - 1) // 2]) + margin[side] > best[side]))
+            evaluate(rows[start:start + size], lows, lows_total, slice(c))
             start += size
     return best[0], best[1]
 
@@ -578,8 +604,14 @@ def aggregate(w: StepGraphon, p: Partition) -> StepGraphon:
     exactly 1.0, so W_P equals W bit for bit on singleton x singleton
     blocks, and the all-singletons partition reproduces W. Aggregating
     twice with the same partition is a no-op up to rounding.
+
+    An all-singletons partition (in any order) skips the products: with
+    every weight 1.0 and W symmetric they give W back, so W's values are
+    returned, with a -0.0 read as 0.0, as the products' sums read it.
     """
     check_basis(p, w)
+    if p.c == w.k:
+        return StepGraphon(w.mu, w.w + 0.0)
     assign = np.array(p.assign, dtype=int)
     z = np.zeros((w.k, p.c))
     cmass = np.bincount(assign, weights=w.mu, minlength=p.c)

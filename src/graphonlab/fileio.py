@@ -10,6 +10,7 @@ order, so identical objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -228,8 +229,10 @@ def load_family(path) -> SetFamily:
 # -- reports and CSV matrices -----------------------------------------------
 
 def _is_number(value) -> bool:
-    # a JSON number; bool is an int subclass but not a number here
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a finite JSON number: bool is an int subclass but not a number here,
+    # and json reads NaN, Infinity and -Infinity as floats
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
 
 
 def load_report(path) -> dict:
@@ -239,10 +242,11 @@ def load_report(path) -> dict:
     edit = doc.get("edit")
     checks = {"kind must be a string": isinstance(doc["kind"], str),
               "classes must be a list": isinstance(doc["classes"], list),
-              "edit must be an object with numeric changed_cells and cell_bound":
+              "edit must be an object with finite numeric changed_cells and cell_bound":
                   "edit" not in doc or isinstance(edit, dict) and all(
                       _is_number(edit.get(key)) for key in ("changed_cells", "cell_bound")),
-              **{f"{key} must be a number": doc.get(key) is None or _is_number(doc[key])
+              **{f"{key} must be a number and finite, or null":
+                     doc.get(key) is None or _is_number(doc[key])
                  for key in ("cut_error", "l1_error", "certified_bound")}}
     for message, ok in checks.items():
         if not ok:

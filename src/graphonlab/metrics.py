@@ -33,6 +33,9 @@ PACKING_MAX_POINTS = 20
 #: this many points; beyond that the O(k^3) sweep is opt-in via assert_metric
 TRIANGLE_CHECK_MAX = 64
 
+#: detour sums d(i,z) + d(z,j) in one block of ``triangle_violation``
+TRIANGLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class MetricView:
@@ -79,11 +82,23 @@ class MetricView:
 
 def triangle_violation(d: np.ndarray) -> float:
     """Largest d(i,j) - min_z (d(i,z) + d(z,j)), at least 0; O(k^3) time
-    and O(k^2) memory."""
+    and O(k^2 + ``TRIANGLE_BLOCK``) memory.
+
+    The rows i are taken in blocks, each one (rows, k, k) broadcast of
+    the detour sums d(i,z) + d(z,j) of at most ``TRIANGLE_BLOCK`` cells,
+    or of one row where a row holds more (k > 256). Each sum is one
+    addition and minimum and maximum are exact, so the value is the float
+    a row-by-row sweep returns: each row's largest gap enters the same
+    running ``max``, in row order, so a row with a NaN gap (inf - inf, from
+    infinite distances) is passed over as that sweep passes it over.
+    """
+    k = d.shape[0]
+    step = max(1, TRIANGLE_BLOCK // max(1, k * k))
     worst = 0.0
-    for i in range(d.shape[0]):
-        best_detour = np.min(d[i][:, None] + d, axis=0)
-        worst = max(worst, float(np.max(d[i] - best_detour)))
+    for start in range(0, k, step):
+        rows = d[start:start + step]
+        best_detour = np.min(rows[:, :, None] + d, axis=1)
+        worst = max(worst, *np.max(rows - best_detour, axis=1).tolist())
     return worst
 
 

@@ -140,6 +140,17 @@ def reference_row_sweep(values, weights):
     return d + d.T
 
 
+def reference_triangle_violation(d):
+    """The per-row sweep ``triangle_violation`` replaced: for each row i,
+    the best detour min_z d(i,z) + d(z,j) as one k x k broadcast, and the
+    largest gap d(i,j) minus it, kept by a running ``max`` from 0.0."""
+    worst = 0.0
+    for i in range(d.shape[0]):
+        best_detour = np.min(d[i][:, None] + d, axis=0)
+        worst = max(worst, float(np.max(d[i] - best_detour)))
+    return worst
+
+
 def reference_purify(w, tol=1e-9):
     """The per-pair twin test and g^2 block loop that purify replaced:
     grow each twin component from its lowest step, then average W over

@@ -337,6 +337,24 @@ def test_report_with_a_non_numeric_value_exit_2(workdir, capsys, key, value):
     assert f"{key} must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["cut_error", "l1_error", "certified_bound",
+                                 "edit.changed_cells", "edit.cell_bound"])
+def test_report_with_a_non_finite_number_exit_2(workdir, capsys, key, token):
+    # json reads these tokens as floats: NaN failed the certificate (exit 1)
+    # and an infinite bound passed any report (exit 0)
+    doc = {"kind": "thin", "classes": [[0]], "cut_error": 0.1, "l1_error": 0.1,
+           "certified_bound": 0.5, "exact": True,
+           "edit": {"changed_cells": 2, "cell_bound": 4.0}}
+    (workdir / "rep.json").write_text(json.dumps(doc))
+    assert main(["report", str(workdir / "rep.json")]) == 0
+    outer, _, inner = key.rpartition(".")
+    (doc[outer] if outer else doc)[inner] = "TOKEN"
+    (workdir / "rep.json").write_text(json.dumps(doc).replace('"TOKEN"', token))
+    assert main(["report", str(workdir / "rep.json")]) == 2
+    assert f"{outer or inner} must be " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": [1]},
     {"classes": 3},

@@ -243,6 +243,16 @@ def _rectangle_fuzz():
         yield a.T
     for k in (9, 14, 18):
         yield r.choice([-1.0, 1.0], (k, k))
+    # the kinds the seed-centred bound was measured on, at k = 14..20:
+    # nearly nonnegative, rank one plus noise, one heavy negative row, and
+    # 20% of the entries nonzero
+    for k in (14, 16, 18, 20):
+        yield np.abs(r.standard_normal((k, k))) - 0.3
+        yield np.outer(r.standard_normal(k), r.standard_normal(k)) + 0.1 * r.standard_normal((k, k))
+        a = r.standard_normal((k, k))
+        a[k // 3] = -10.0 * np.abs(a[k // 3])
+        yield a
+        yield r.standard_normal((k, k)) * (r.random((k, k)) < 0.2)
     # at 1e-300 the margin's 2^-51 (sum|a| + 2 sum|c|) is subnormal
     for scale in (1e-300, 1e-200, 1e200):
         for k in (13, 16, 20):
@@ -265,9 +275,11 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
 
     class Numpy:
         """numpy as ``core`` sees it, noting each evaluation's path: a
-        3-d block is one broadcast over two or more low sums (a prefix or
-        the whole table), a 2-d one the column loop over one low sum (every
-        seed column, and a block whose prefix is one low sum)."""
+        3-d block is one broadcast, over two or more low sums (a prefix or
+        the whole table) or over the two seed low sums (each a C-order
+        (m, rows) array against every high sum, summed down its first
+        axis); a 2-d one is the column loop over one low sum (a block
+        whose prefix is one low sum)."""
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -283,6 +295,20 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
         got, want = gl.rectangle_max(a), unpruned_rectangle_max(a)
         assert [v.hex() for v in got] == [v.hex() for v in want], a.shape
     assert paths == {2, 3}
+
+
+def test_rectangle_max_adds_a_one_column_table_pairwise():
+    # k = 1, wide enough to prune (2 m > 2^16): the low table is one
+    # column, which the full sweep adds pairwise. The seed was found by
+    # search so that the column-order sum of the positive parts is larger,
+    # so a sweep that added this table in column order returns more.
+    row = rng(2).standard_normal(40000)
+    positive = np.maximum(row, 0.0)
+    assert np.add.accumulate(positive)[-1] > positive.sum()
+    for a in (row[None, :], row[:, None]):
+        got, want = gl.rectangle_max(a), unpruned_rectangle_max(a)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got[0] == positive.sum()
 
 
 #: cut norms of W - W_P on the trivial partition of
@@ -419,6 +445,76 @@ def test_aggregate_matches_reference_with_exact_singleton_blocks():
         assert np.max(np.abs(out - reference_aggregate(w, p))) <= 1e-15
         alone = np.flatnonzero(~merged)
         assert np.array_equal(out[np.ix_(alone, alone)], w.w[np.ix_(alone, alone)])
+
+
+def _product_aggregate(w, p):
+    # the products every partition took before all-singletons ones skipped them
+    assign = np.array(p.assign, dtype=int)
+    z = np.zeros((w.k, p.c))
+    cmass = np.bincount(assign, weights=w.mu, minlength=p.c)
+    z[np.arange(w.k), assign] = w.mu / cmass[assign]
+    block = z.T @ w.w @ z
+    block = (block + block.T) / 2.0
+    return np.clip(block[np.ix_(assign, assign)], 0.0, 1.0)
+
+
+class _GatherSpy:
+    """numpy as ``core`` sees it, noting which of the products' class
+    measures, gather and clip ran."""
+
+    def __init__(self):
+        self.called = set()
+
+    def __getattr__(self, name):
+        if name in ("ix_", "clip", "bincount"):
+            self.called.add(name)
+        return getattr(np, name)
+
+
+def test_aggregate_on_all_singletons_returns_w_without_products(monkeypatch):
+    spy = _GatherSpy()
+    monkeypatch.setattr(gl.core, "np", spy)
+    for seed, k in enumerate((1, 2, 18, 300)):
+        mass = rng(seed).random(k) + 0.1
+        w = gl.StepGraphon(mass / mass.sum(), gl.zoo.random_stepfunction(k, seed=600 + seed).w)
+        order = rng(seed).permutation(k).tolist()
+        for p in (gl.Partition.singletons(w.mu), gl.Partition(w.mu, order, k)):
+            out = gl.aggregate(w, p).w
+            assert out.tobytes() == w.w.tobytes()
+            assert out.tobytes() == _product_aggregate(w, p).tobytes()
+            assert np.max(np.abs(out - reference_aggregate(w, p))) <= 1e-15
+    assert spy.called == set()
+
+
+def test_aggregate_on_all_singletons_reads_a_negative_zero_as_the_products_do():
+    vals = gl.zoo.random_stepfunction(6, seed=7).w.copy()
+    vals[0, 1] = vals[1, 0] = -0.0
+    vals[2, :] = vals[:, 2] = -0.0
+    w = gl.StepGraphon(np.full(6, 1 / 6), vals)
+    p = gl.Partition.singletons(w.mu)
+    out = gl.aggregate(w, p).w
+    assert out.tobytes() == _product_aggregate(w, p).tobytes()
+    assert not np.signbit(out).any()
+
+
+def test_aggregate_on_singletons_of_another_basis_raises():
+    w = gl.zoo.random_stepfunction(5, seed=8)
+    other = gl.Partition.singletons(np.array([0.1, 0.2, 0.3, 0.2, 0.2]))
+    with pytest.raises(gl.BasisMismatchError):
+        gl.aggregate(w, other)
+    with pytest.raises(gl.BasisMismatchError):
+        gl.aggregate(w, gl.Partition.singletons(np.full(4, 0.25)))
+
+
+def test_aggregate_with_one_merged_pair_takes_the_products(monkeypatch):
+    spy = _GatherSpy()
+    monkeypatch.setattr(gl.core, "np", spy)
+    w = gl.zoo.random_stepfunction(18, seed=9)
+    p = gl.Partition(w.mu, [0] + list(range(17)), 17)
+    out = gl.aggregate(w, p).w
+    assert spy.called == {"ix_", "clip", "bincount"}
+    assert out.tobytes() == _product_aggregate(w, p).tobytes()
+    assert out[0, 5] == out[1, 5] and not np.array_equal(out, w.w)
 
 
 def test_aggregate_basis_mismatch(k2_graphon):

@@ -11,7 +11,7 @@ import graphonlab.metrics as metrics
 from graphonlab.metrics import _row_l1_matrix
 
 from conftest import (brute_packing, random_bigraphon, reference_purify, reference_row_l1,
-                      reference_row_sweep, reference_voronoi, rng)
+                      reference_row_sweep, reference_triangle_violation, reference_voronoi, rng)
 
 
 def test_neighborhood_metric_examples(k2_graphon):
@@ -158,6 +158,60 @@ def test_triangle_violation_value():
     assert abs(gl.triangle_violation(d) - 0.8) <= 1e-15
     assert gl.triangle_violation(gl.neighborhood_metric(
         gl.zoo.random_stepfunction(9, seed=2)).dist) <= 1e-12
+
+
+def _triangle_corpus(k, seed):
+    """Symmetric zero-diagonal matrices of size k: an L1 metric on random
+    points, that metric perturbed (it violates the triangle inequality by
+    up to about 0.3), and for k >= 4 the metric with infinite distances:
+    the last point is finite only to the one before it, which is infinitely
+    far from point 0 too. Row 0's gaps then hold inf - inf = NaN, which
+    the per-row sweep passes over, and the other rows' gaps hold inf."""
+    r = rng(seed)
+    points = r.random((k, 4))
+    metric = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    noise = r.standard_normal((k, k)) * 0.1
+    perturbed = np.abs(metric + noise + noise.T)
+    np.fill_diagonal(perturbed, 0.0)
+    yield metric
+    yield perturbed
+    if k >= 4:
+        far = metric.copy()
+        far[-1, :-2] = far[:-2, -1] = np.inf
+        far[0, -2] = far[-2, 0] = np.inf
+        yield far
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 64, 65, 300])
+def test_triangle_violation_is_the_row_sweeps_float(k, monkeypatch):
+    cells = []
+
+    class Numpy:
+        """numpy as ``metrics`` sees it, noting the cells of every block of
+        detour sums (the array each minimum reduces)."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def min(x, axis=None):
+            cells.append(x.size)
+            return np.min(x, axis=axis)
+
+    monkeypatch.setattr(metrics, "np", Numpy())
+    values = []
+    for d in _triangle_corpus(k, seed=k):
+        with np.errstate(invalid="ignore"):
+            got, want = gl.triangle_violation(d), reference_triangle_violation(d)
+        assert got == want and got.hex() == want.hex(), k
+        values.append(got)
+    if k >= 20:
+        # the metric passes, the perturbed and the infinite ones violate
+        assert values[0] <= 1e-12 and 0.01 < values[1] < np.inf == values[2]
+    # a block holds at most 2^16 cells, or one row where a row holds more
+    assert max(cells) <= max(metrics.TRIANGLE_BLOCK, k * k)
+    if k > 256:
+        assert set(cells) == {k * k}
 
 
 def test_bigraphon_metrics_examples():
