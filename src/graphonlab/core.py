@@ -361,71 +361,41 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _pair_gains(h: np.ndarray, lows: np.ndarray, cols: slice) -> np.ndarray:
-    """sum_j max(0, h_j + l_j) for each row h of ``h`` and each low sum l in
-    the columns ``cols`` of the low table ``lows``, the floats the full
-    sweep computes.
-
-    Two or more columns, and the whole table, are one (rows, m, c)
-    broadcast summed over its middle axis, the full sweep's own
-    expression: numpy adds that axis in column order j = 0..m-1, whatever
-    the prefix or table width (with a one-column table, k = 1, it adds each
-    row pairwise, as the full sweep did). One column of a wider table is
-    added one column j at a time in the same order, since as an
-    (rows, m, 1) broadcast numpy would add each row pairwise.
-    """
-    block = lows[:, cols]
-    if block.shape[1] == 1 < lows.shape[1]:
-        gain = h[:, 0, None] + block[0]
-        np.maximum(gain, 0.0, out=gain)
-        for j in range(1, h.shape[1]):
-            term = h[:, j, None] + block[j]
-            np.maximum(term, 0.0, out=term)
-            gain += term
-        return gain
-    gains = h[:, :, None] + block
-    np.maximum(gains, 0.0, out=gains)
-    return gains.sum(axis=1)
-
-
 def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     """Largest positive and negative rectangle sums of ``a``:
     (max_{S,T} sum_{S x T} a, max_{S,T} -sum_{S x T} a), both >= 0.
 
     For a fixed row set S the best column set takes every column of the
-    sign wanted, so each side is a maximum over S alone, and
-    sum_j max(0, -c_j) = sum_j max(0, c_j) - sum_j c_j gives both from one
-    pass. All-zero rows and columns are dropped first (exact), and the
-    shorter side is enumerated. Meet in the middle: the subset sums of
-    each half of the rows are tabulated once, a high-half sum h and a
-    low-half sum l make one row set with column sums h + l, and the pair
-    is evaluated as fl(h_j + l_j), then max(0, .), summed in column order
-    j = 0..m-1, its negative side as that sum minus (h total + l total).
+    sign wanted, and sum_j max(0, -c_j) = sum_j max(0, c_j) - sum_j c_j, so
+    one pass over S gives both sides. All-zero rows and columns are
+    dropped (exact) and the shorter side is enumerated, by meet in the
+    middle: the subset sums of each half of the rows are (m, 2^half)
+    tables, a pair of a high-half sum h and a low-half sum l has column
+    sums h + l, and its positive side is fl(h_j + l_j), then max(0, .),
+    summed in column order j = 0..m-1, its negative side that sum minus
+    (h total + l total). Every evaluation is one C-order (m, rows, cols)
+    array summed down its first axis, which numpy adds in that order for
+    every shape but a lone (m, 1, 1) column, which it adds pairwise; so a
+    block takes at least two low sums. A one-row matrix (k = 1), whose
+    one-column low table the full sweep adds pairwise, is two sums.
 
     Pairs that cannot beat the best value found so far are skipped, by a
-    separable bound. For any c_j, max(0, x + y) <= max(0, x - c_j) +
-    max(0, y + c_j), so for any vector c the side of sign s (+1 or -1) of
-    (h, l), sum_j max(0, s h_j + s l_j), is at most P_h + Q_l, with
-    P_h = sum_j max(0, s h_j - c_j) and Q_l = sum_j max(0, s l_j + c_j).
-    Each side is centred on a seed pair (h*, l*) of its own: the high sum
-    with the largest P_h at c = 0 is evaluated against every low sum, then
-    the low sum best for that side against every high sum, and the best
-    high sum there is h*. With c = (s h* - s l*) / 2 both halves of each
-    column of the seed are equal, so the bound is tight at the seed, and
-    tight near the optimum when the seed is near it. Both sides' seeds are
-    found together: the two seed high sums in one evaluation, then the two
-    seed low sums against every high sum as C-order (m, rows) arrays
-    summed down their first axis, which adds the columns in order
-    j = 0..m-1, the full sweep's floats. Then the high sums, in
-    decreasing order of P, are swept in blocks against the low sums in
-    decreasing order of Q: a block sweeps the prefix of low sums whose
-    bound with the block's first high sum, plus ``margin``, beats the best
-    value of that side, and the side ends when no low sum does. A block
-    ends where a high sum's own prefix would fall below half of the first
-    one's, or at ``RECTANGLE_BLOCK`` pair columns; that choice only moves
-    time. Every pair evaluated updates both sides. A skipped pair never
-    holds a larger value, so both results equal the full sweep's bit for
-    bit.
+    separable bound: max(0, x + y) <= max(0, x - c_j) + max(0, y + c_j),
+    so for any vector c the side of sign s (+1 or -1) of (h, l) is at most
+    P_h + Q_l, with P_h = sum_j max(0, s h_j - c_j) and
+    Q_l = sum_j max(0, s l_j + c_j). Each side is centred on a seed pair
+    (h*, l*) of its own: the high sum with the largest P_h at c = 0 is
+    evaluated against every low sum, then the low sum best for that side
+    against every high sum, and the best high sum there is h*;
+    c = (s h* - s l*) / 2 makes the bound tight at the seed. The high
+    sums, in decreasing order of P, are then swept in blocks against the
+    prefix of the low sums, in decreasing order of Q, whose bound with the
+    block's first high sum, plus ``margin``, beats the side's best value;
+    the side ends when no low sum does. A block ends where a high sum's own
+    prefix would fall below half of the first one's, or at
+    ``RECTANGLE_BLOCK`` pair columns, which only moves time. Every pair
+    evaluated updates both sides, and a skipped pair never holds a larger
+    value, so both results equal the full sweep's bit for bit.
 
     ``margin`` is 4 (k + m) 2^-53 (sum|a| + 2 sum|c|) for a k x m matrix,
     plus k + m units of the smallest subnormal for the rounding of the
@@ -449,12 +419,10 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     which pairs are swept.
 
     An enumeration of at most ``RECTANGLE_BLOCK`` pair columns (2^k m) is
-    one block, swept whole without bounds, and so is a one-row matrix
-    (k = 1), whose one-column low table the full sweep adds pairwise. The
-    worst case skips almost nothing (on an entrywise nonnegative matrix
-    the negative side is rounding noise below ``margin``) and costs about
-    the full sweep's O(2^k m) time, in O(2^{k/2} m + RECTANGLE_BLOCK)
-    memory.
+    one block, swept without bounds. The worst case skips almost nothing
+    (on an entrywise nonnegative matrix the negative side is rounding
+    noise below ``margin``): O(2^k m) time, in
+    O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
     a = np.asarray(a, dtype=float)
     a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
@@ -463,62 +431,61 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     if a.shape[0] > a.shape[1]:
         a = a.T
     k, m = a.shape
+    if k == 1:
+        gain = float(np.maximum(a[0], 0.0).sum())
+        return gain, max(0.0, gain - float(a[0].sum()))
     half = k // 2
     low = _subset_sums(a[:half]).T.copy()
     high = _subset_sums(a[half:])
+    # the full sweep's totals: high rows added pairwise, low columns in order
     low_total, high_total = low.sum(axis=0), high.sum(axis=1)
+    high = high.T.copy()
     best = [0.0, 0.0]
 
     def evaluate(rows, lows, lows_total, cols):
-        # both sides of every pair in rows x cols, noted in ``best``
-        gain = _pair_gains(high[rows], lows, cols)
+        # both sides of every pair in rows x cols, noted in ``best``; without
+        # order="C" numpy may lay the sum out with m fastest and add it pairwise
+        gains = np.add(high[:, rows, None], lows[:, None, cols], order="C")
+        np.maximum(gains, 0.0, out=gains)
+        gain = gains.sum(axis=0)
         neg = gain - (high_total[rows, None] + lows_total[cols])
         best[0] = max(best[0], float(gain.max()))
         best[1] = max(best[1], float(neg.max()))
         return gain, neg
 
-    if len(high) * low.size <= RECTANGLE_BLOCK or low.shape[1] == 1:
+    if high.size * low.shape[1] <= RECTANGLE_BLOCK:
         # one block holds every pair, and the bounds would cost more than
-        # they skip; or the low table has one column (k = 1): the full
-        # sweep adds it pairwise, and of the paths only this one does
+        # they skip
         evaluate(slice(None), low, low_total, slice(None))
         return best[0], best[1]
     # both signs' seed pairs (h*, l*) and centres c, as the docstring says;
     # row 0 of each stacked array is the positive side, row 1 the negative
     signs = np.array([[1.0], [-1.0]])
 
-    def bounds(table, shift, axis):
-        # sum along ``axis`` of max(0, s t + shift) for both signs s, in one
-        # buffer, so no stacked temporary outgrows a swept block
+    def bounds(table, shift):
+        # sum over the columns j of max(0, s t_j + shift) for both signs s,
+        # in one buffer, so no stacked temporary outgrows a swept block
         x = signs[:, :, None] * table
         x += shift
-        return np.maximum(x, 0.0, out=x).sum(axis=axis)
+        return np.maximum(x, 0.0, out=x).sum(axis=1)
 
-    seeds = np.argmax(bounds(high, 0.0, 2), axis=1)
+    seeds = np.argmax(bounds(high, 0.0), axis=1)
     gain, neg = evaluate(seeds, low, low_total, slice(None))
     cols = [int(np.argmax(gain[0])), int(np.argmax(neg[1]))]
-    # each seed low sum against every high sum, one C-order (m, rows) array
-    # per seed summed down its first axis: in column order j = 0..m-1
-    seed_lows = low[:, cols].T
-    gain = np.add(high.T, seed_lows[:, :, None], order="C")
-    gain = np.maximum(gain, 0.0, out=gain).sum(axis=1)
-    neg = gain - (high_total + low_total[cols][:, None])
-    best[0], best[1] = max(best[0], float(gain.max())), max(best[1], float(neg.max()))
-    seeds = [int(np.argmax(gain[0])), int(np.argmax(neg[1]))]
-    centre = signs * (high[seeds] - seed_lows) / 2.0
+    gain, neg = evaluate(slice(None), low, low_total, cols)
+    seeds = [int(np.argmax(gain[:, 0])), int(np.argmax(neg[:, 1]))]
+    centre = signs * (high[:, seeds] - low[:, cols]).T / 2.0
     margin = (k + m) * (2.0 ** -51 * (float(np.abs(a).sum())
                                       + 2.0 * np.abs(centre).sum(axis=1)) + 2.0 ** -1074)
-    high_bound = bounds(high, -centre[:, None], 2)
-    low_bound = bounds(low, centre[:, :, None], 1)
+    high_bound = bounds(high, -centre[:, :, None])
+    low_bound = bounds(low, centre[:, :, None])
     rows_by_bound = np.argsort(-high_bound, axis=1, kind="stable")
     high_bound = np.take_along_axis(high_bound, rows_by_bound, axis=1)
     orders = np.argsort(-low_bound, axis=1, kind="stable")
     low_bound = np.take_along_axis(low_bound, orders, axis=1)
     for side in (0, 1):
         rows, high_side, low_side = rows_by_bound[side], high_bound[side], low_bound[side]
-        # in C order, as the full sweep's table: the broadcast's order of
-        # addition follows the layout
-        lows, lows_total = low.T[orders[side]].T.copy(), low_total[orders[side]]
+        lows, lows_total = low[:, orders[side]], low_total[orders[side]]
         start = 0
         while start < len(rows):
             c = int(np.count_nonzero((high_side[start] + low_side) + margin[side] > best[side]))
@@ -527,7 +494,7 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
             block_bounds = high_side[start:start + max(1, RECTANGLE_BLOCK // (m * c))]
             size = int(np.count_nonzero(
                 (block_bounds + low_side[(c - 1) // 2]) + margin[side] > best[side]))
-            evaluate(rows[start:start + size], lows, lows_total, slice(c))
+            evaluate(rows[start:start + size], lows, lows_total, slice(max(c, 2)))
             start += size
     return best[0], best[1]
 
@@ -564,12 +531,9 @@ def cut_norm(r: StepKernel, mode: str = "exact") -> float:
     For stepfunctions the supremum over measurable sets is attained on
     unions of steps: with fractional memberships the objective is bilinear
     and a box-constrained bilinear maximum sits at a vertex. Exact mode
-    (k <= 24) is ``rectangle_max``: all 2^k row subsets, with the optimal
-    column set per sign, after dropping zero rows and columns; subsets
-    that a separable bound, re-centred on a seed pair per sign and padded
-    by a proven rounding margin, shows cannot win are skipped, so the
-    value is bit-identical to the full enumeration's, in O(2^k k) time at
-    worst and bounded working memory. Heuristic mode runs an alternating
+    (k <= 24) is ``rectangle_max``, the larger of its two sides: the full
+    enumeration of the 2^k row subsets' values, bit for bit, with pruning
+    described there. Heuristic mode runs an alternating
     sign-greedy ascent from 20 random restarts under the fixed seed 0, so
     it is deterministic, and returns a lower bound: every value it reaches
     is the sum of an actual rectangle. An ascent stops when its column set

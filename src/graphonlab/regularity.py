@@ -148,12 +148,9 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     By linearity the supremum splits into per-block one-sided optima: take
     every block's best positive rectangle (or leave it empty), and
     likewise for the negative sign; the result is the larger total. One
-    ``rectangle_max`` call per block gives both signs, exactly, in
-    O(2^k k) time at worst (it skips the row subsets that a separable
-    bound, re-centred on a seed pair per sign, rules out, bit for bit) and
-    bounded working memory; blocks of W - W_P that are
-    identically 0 cost nothing, and singleton x singleton blocks always
-    are, since ``aggregate`` reproduces W there exactly.
+    ``rectangle_max`` call per block gives both signs, exactly; blocks of
+    W - W_P that are identically 0 cost nothing, and singleton x singleton
+    blocks always are, since ``aggregate`` reproduces W there exactly.
 
     On a one-class partition the one block is the whole matrix, so the
     value is the exact cut norm of W - W_P, the same ``rectangle_max``

@@ -235,8 +235,8 @@ def _rectangle_fuzz():
         a[-1, m // 4:] = -20.0
         yield a
         yield -a
-    # wider than tall: the enumerated side is the shorter one; one row
-    # past one block sweeps a one-column low table
+    # wider than tall: the enumerated side is the shorter one; one row is
+    # the k = 1 case, whose one-column low table the full sweep adds pairwise
     for k, m in ((1, 40000), (13, 40), (14, 64), (16, 33)):
         a = r.standard_normal((k, m))
         yield a
@@ -268,18 +268,24 @@ def _rectangle_fuzz():
         for si in p.classes():
             for sj in p.classes():
                 yield a[np.ix_(si, sj)]
+    # twin rows: a 3-6 step host split to 14-20 steps has tied half sums,
+    # tied bounds and tied seeds, on the trivial and a 3-class partition
+    for _ in range(10):
+        w = gl.zoo.random_stepfunction(int(r.integers(3, 7)), seed=int(r.integers(1 << 30)))
+        steps = int(r.integers(14, 21))
+        while w.k < steps:
+            w = gl.split_step(w, int(r.integers(w.k)), min(int(r.integers(2, 4)), steps - w.k + 1))
+        yield _residual_array(w, gl.Partition.trivial(w.mu))
+        yield _residual_array(w, random_partition(w.mu, 3, int(r.integers(1 << 30))))
 
 
 def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
-    paths = set()
+    buffers = []
 
     class Numpy:
-        """numpy as ``core`` sees it, noting each evaluation's path: a
-        3-d block is one broadcast, over two or more low sums (a prefix or
-        the whole table) or over the two seed low sums (each a C-order
-        (m, rows) array against every high sum, summed down its first
-        axis); a 2-d one is the column loop over one low sum (a block
-        whose prefix is one low sum)."""
+        """numpy as ``core`` sees it, noting the layout of each buffer that
+        ``maximum`` writes in place: every pair evaluation (seeds, one
+        block, pruned blocks) and every bound is one 3-d C-order array."""
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -287,19 +293,19 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
         @staticmethod
         def maximum(x, y, out=None):
             if out is not None:
-                paths.add(out.ndim)
+                buffers.append((out.ndim, out.flags.c_contiguous))
             return np.maximum(x, y, out=out)
 
     monkeypatch.setattr(gl.core, "np", Numpy())
     for a in _rectangle_fuzz():
         got, want = gl.rectangle_max(a), unpruned_rectangle_max(a)
         assert [v.hex() for v in got] == [v.hex() for v in want], a.shape
-    assert paths == {2, 3}
+    assert buffers and set(buffers) == {(3, True)}
 
 
 def test_rectangle_max_adds_a_one_column_table_pairwise():
-    # k = 1, wide enough to prune (2 m > 2^16): the low table is one
-    # column, which the full sweep adds pairwise. The seed was found by
+    # k = 1, wider than one block (2 m > 2^16): the full sweep's low table
+    # is one column, which it adds pairwise. The seed was found by
     # search so that the column-order sum of the positive parts is larger,
     # so a sweep that added this table in column order returns more.
     row = rng(2).standard_normal(40000)
@@ -326,41 +332,31 @@ def test_cut_norm_pinned_bits(k):
     assert gl.cut_norm(r).hex() == PINNED_CUT_NORMS[k]
 
 
-def _column_loop(h, lows):
-    # sum_j max(0, h_j + l_j), added one column j at a time in column order
-    gain = np.maximum(h[:, 0, None] + lows[0], 0.0)
-    for j in range(1, h.shape[1]):
-        gain += np.maximum(h[:, j, None] + lows[j], 0.0)
-    return gain
+def _column_loop(terms):
+    # terms[0] + terms[1] + ... + terms[m - 1], one term at a time
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
-def test_pair_gains_broadcast_equals_the_column_loop_bit_for_bit():
-    # two or more low sums, a prefix or the whole table, are one broadcast;
-    # its sums must be the column loop's, the full sweep's order
+def test_a_c_order_array_sums_down_its_first_axis_in_order():
+    # rectangle_max sums every C-order (m, rows, cols) block down axis 0 and
+    # relies on numpy adding it in order j = 0..m-1, as the full sweep does.
+    # A lone (m, 1, 1) column is added pairwise from m = 8 on, which is why
+    # a block takes two or more low sums.
     r = rng(23)
-    for rows in (1, 2, 3, 5, 8, 13, 64):
-        for m in range(1, 25):
-            h = r.standard_normal((rows, m))
-            lows = r.standard_normal((m, 1024))
-            for c in (2, 3, 4, 7, 16, 33, 256, 1024):
-                got = gl.core._pair_gains(h, lows, slice(c))
-                assert np.array_equal(got, _column_loop(h, lows[:, :c])), (rows, m, c)
-
-
-def test_pair_gains_takes_the_column_loop_for_one_low_sum():
-    # an (rows, m, 1) broadcast is added pairwise, not in column order, so
-    # one low sum of a wider table takes the loop
-    r = rng(24)
-    pairwise = 0
-    for rows in (1, 2, 3, 8, 64):
-        for m in range(1, 25):
-            h = r.standard_normal((rows, m))
-            lows = r.standard_normal((m, 8))
-            want = _column_loop(h, lows[:, 3:4])
-            broadcast = np.maximum(h[:, :, None] + lows[:, 3:4], 0.0).sum(axis=1)
-            pairwise += not np.array_equal(broadcast, want)
-            assert np.array_equal(gl.core._pair_gains(h, lows, slice(3, 4)), want)
-    assert pairwise > 0
+    pairwise = set()
+    for m in range(1, 25):
+        for shape in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (5, 7), (64, 2),
+                      (1, 1024), (300, 10)):
+            x = r.standard_normal((m,) + shape)
+            assert np.array_equal(x.sum(axis=0), _column_loop(x)), (m, shape)
+        for _ in range(8):
+            column = r.standard_normal((m, 1, 1))
+            if not np.array_equal(column.sum(axis=0), _column_loop(column)):
+                pairwise.add(m)
+    assert pairwise == set(range(8, 25))
 
 
 def test_cut_norm_heuristic_pinned_bits():

@@ -195,3 +195,17 @@ def test_split_and_permutation_preserve_densities(w, data):
         moved_roots = ({s1[0]: image(x)}, {s2[0]: image(y)})
         assert close(gl.partial_bigraph_density(f, s1, s2, *moved_roots, bm, induced=True),
                      gl.partial_bigraph_density(f, s1, s2, *roots, b, induced=True))
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_hosts(), st.data())
+def test_split_step_preserves_the_partition_cut_error(wp, data):
+    """A step split into twin copies, with the partition pulled back to the
+    copies, has the same W_P up to the split, so the same cut error."""
+    w, p = wp
+    i = data.draw(st.integers(0, w.k - 1))
+    parts = data.draw(st.integers(2, 3))
+    split = gl.split_step(w, i, parts)
+    assign = p.assign[:i] + (p.assign[i],) * parts + p.assign[i + 1:]
+    pulled = gl.Partition(split.mu, assign, p.c)
+    assert abs(gl.partition_cut_error(split, pulled) - gl.partition_cut_error(w, p)) <= 1e-12
