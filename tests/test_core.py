@@ -340,22 +340,54 @@ def _column_loop(terms):
     return total
 
 
-def test_a_c_order_array_sums_down_its_first_axis_in_order():
-    # rectangle_max sums every C-order (m, rows, cols) block down axis 0 and
-    # relies on numpy adding it in order j = 0..m-1, as the full sweep does.
-    # A lone (m, 1, 1) column is added pairwise from m = 8 on, which is why
-    # a block takes two or more low sums.
+def _pair_gains(high, rows, lows, cols):
+    # sum_j max(0, h_j + l_j) for every pair in rows x cols, laid out as
+    # rectangle_max's ``evaluate`` lays it out: one C-order (m, rows, cols)
+    # broadcast summed down its first axis
+    gains = np.add(high[:, rows, None], lows[:, None, cols], order="C")
+    return np.maximum(gains, 0.0, out=gains).sum(axis=0)
+
+
+def test_pair_gains_broadcast_equals_the_column_loop_bit_for_bit():
+    # rectangle_max relies on numpy adding a C-order (m, R, C) broadcast with
+    # R * C >= 2 down axis 0 in order j = 0..m-1, the full sweep's order; a
+    # numpy that changes its reduction order fails here by name
     r = rng(23)
-    pairwise = set()
     for m in range(1, 25):
         for shape in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (5, 7), (64, 2),
                       (1, 1024), (300, 10)):
             x = r.standard_normal((m,) + shape)
             assert np.array_equal(x.sum(axis=0), _column_loop(x)), (m, shape)
+    for rows in (1, 2, 3, 5, 8, 13, 64):
+        for m in range(1, 25):
+            high = r.standard_normal((m, 64))
+            lows = r.standard_normal((m, 1024))
+            # a slice of the high sums (a block) and a fancy index (the seeds)
+            for picked in (slice(rows), r.permutation(64)[:rows]):
+                for c in (1, 2, 3, 4, 7, 16, 33, 256, 1024):
+                    if rows * c < 2:
+                        continue
+                    terms = np.maximum(high[:, picked, None] + lows[:, None, :c], 0.0)
+                    assert np.array_equal(_pair_gains(high, picked, lows, slice(c)),
+                                          _column_loop(terms)), (rows, m, c)
+
+
+def test_pair_gains_takes_the_column_loop_for_one_low_sum():
+    # a lone (m, 1, 1) column is added pairwise from m = 8 on, not in column
+    # order; so a block of one high sum takes two or more low sums, and the
+    # first low sum's gain is then the column loop's
+    r = rng(24)
+    pairwise = set()
+    for m in range(1, 25):
         for _ in range(8):
             column = r.standard_normal((m, 1, 1))
             if not np.array_equal(column.sum(axis=0), _column_loop(column)):
                 pairwise.add(m)
+        high = r.standard_normal((m, 4))
+        lows = r.standard_normal((m, 8))
+        want = _column_loop(np.maximum(high[:, 1:2, None] + lows[:, None, 3:4], 0.0))
+        got = _pair_gains(high, slice(1, 2), lows, slice(3, 5))
+        assert np.array_equal(got[:, :1], want), m
     assert pairwise == set(range(8, 25))
 
 
