@@ -7,8 +7,8 @@ analysis of 0-1 graphons, plus generators for the standard examples.
 
 from .core import (Bigraph, Graph, Partition, StepBigraphon, StepGraphon,
                    StepKernel, aggregate, as_bigraphon, bigraphon_from_bigraph,
-                   blow_up, cut_norm, difference, graphon_from_graph, l1_norm,
-                   operator_product, rectangle_max, split_step, square)
+                   blow_up, cut_norm, cut_norm_upper, difference, graphon_from_graph,
+                   l1_norm, operator_product, rectangle_max, split_step, square)
 from .densities import (bigraph_density, density, induced_density,
                         partial_bigraph_density, partial_density)
 from .errors import (BasisMismatchError, CertificationError, GraphonError,

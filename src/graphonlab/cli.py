@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edit", action="store_true",
                    help="thin mode: also emit the blow-up edit approximation")
     p.add_argument("--szemeredi", action="store_true",
-                   help="also fill the exact Szemeredi error (k <= 20)")
+                   help="also fill the exact Szemeredi error (k <= 24)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_partition)
 

@@ -499,60 +499,58 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
-    k = a.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    best = 0.0
-    starts = [np.ones(k), (a.sum(axis=1) > 0).astype(float)]
-    starts += [(rng.random(k) < 0.5).astype(float) for _ in range(restarts)]
-    firsts = [s @ a for s in starts]
-    for sign in (1.0, -1.0):
-        for first in firsts:
-            u = sign * first
-            t, val = None, -np.inf
-            for _ in range(100):
-                new_t = (u > 0).astype(float)
-                if t is not None and np.array_equal(new_t, t):
-                    break  # the same t gives the same s, u and value
-                t = new_t
-                s = (sign * (a @ t) > 0).astype(float)
-                u = sign * (s @ a)
-                new = float(u @ t)
-                if new <= val:
-                    break
-                val = new
-            best = max(best, val)
-    return best
-
-
-def cut_norm(r: StepKernel, mode: str = "exact") -> float:
-    """Cut norm sup_{S,T} |sum_{i in S, j in T} mu_i mu_j r_ij|.
+def cut_norm(r: StepKernel) -> float:
+    """Cut norm sup_{S,T} |sum_{i in S, j in T} mu_i mu_j r_ij|, exactly,
+    for k <= 24 steps (``CUT_NORM_MAX_STEPS``); above, ``SizeLimitError``.
 
     For stepfunctions the supremum over measurable sets is attained on
     unions of steps: with fractional memberships the objective is bilinear
-    and a box-constrained bilinear maximum sits at a vertex. Exact mode
-    (k <= 24) is ``rectangle_max``, the larger of its two sides: the full
-    enumeration of the 2^k row subsets' values, bit for bit, with pruning
-    described there. Heuristic mode runs an alternating
-    sign-greedy ascent from 20 random restarts under the fixed seed 0, so
-    it is deterministic, and returns a lower bound: every value it reaches
-    is the sum of an actual rectangle. An ascent stops when its column set
-    repeats (the next step would only reproduce the value) or its value
-    stops rising. An all-zero kernel (such as W - W_P on an all-singletons
-    partition) returns 0.0 in either mode without any search, after the
-    exact mode's size guard.
+    and a box-constrained bilinear maximum sits at a vertex. The value is
+    ``rectangle_max``, the larger of its two sides: the full enumeration
+    of the 2^k row subsets' values, bit for bit, with pruning described
+    there. An all-zero kernel (such as W - W_P on an all-singletons
+    partition) returns 0.0 without any search, after the size guard.
     """
-    if mode not in ("exact", "heuristic"):
-        raise InvalidInputError(f"unknown cut norm mode {mode!r}")
-    if mode == "exact" and r.k > CUT_NORM_MAX_STEPS:
+    if r.k > CUT_NORM_MAX_STEPS:
         raise SizeLimitError(
             f"exact cut norm enumerates 2^k subsets; k={r.k} exceeds {CUT_NORM_MAX_STEPS}")
     a = r.mu[:, None] * r.mu[None, :] * r.w
     if not a.any():
         return 0.0
-    if mode == "exact":
-        return max(rectangle_max(a))
-    return _cut_norm_heuristic(a, restarts=20, seed=0)
+    return max(rectangle_max(a))
+
+
+def cut_norm_upper(r: StepKernel) -> float:
+    """Proven upper bound on ``cut_norm(r)`` at any k: the smaller of
+    ``l1_norm(r)`` (the float a report carries as its L1 error) and
+    |M|_2 + ``padding``, M = D^{1/2} R D^{1/2}, D = diag(mu). An all-zero
+    kernel returns 0.0 without an eigen-solve.
+
+    With u = D^{1/2} 1_S, v = D^{1/2} 1_T: |u|^2 = mu(S) <= 1, |v|^2 <= 1
+    and sum_{S x T} mu_i mu_j r_ij = u^T M v, so the cut norm is at most
+    |M|_2, the largest |eigenvalue| of the symmetric M. The L1 term is
+    off only by its own rounding, which could matter only where the cut
+    norm equals the L1 norm (a one-signed R), never for a residual
+    W - W_P: its entries sum to 0, so its cut norm is at most half its L1.
+
+    ``padding`` is k 2^-40 |M'|_F for the computed M'. With e = 2^-53, to
+    first order: each entry of M' is four roundings off M's, so
+    |M' - M|_2 <= |M' - M|_F <= 4e |M|_F; ``eigvalsh`` (LAPACK, reading one
+    triangle of M') returns the exact eigenvalues of M' + E with
+    |E|_2 <= p(k) e |M'|_2, p a modestly growing function, and by Weyl's
+    inequality that moves each by at most |E|_2. So |M|_2 <= max |computed
+    eigenvalue| + (p(k) + 4) e |M'|_F, inside the padding, 2^13 k e |M'|_F,
+    with room for the padding's own roundings and for the exact
+    enumeration's (a few k e sum |mu_i mu_j r_ij| <= k e |M|_F, by
+    Cauchy-Schwarz), so a computed exact value never exceeds the bound.
+    """
+    if not r.w.any():
+        return 0.0
+    s = np.sqrt(r.mu)
+    m = s[:, None] * r.w * s[None, :]
+    spectral = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    padding = r.k * 2.0 ** -40 * float(np.linalg.norm(m))
+    return min(l1_norm(r), spectral + padding)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ sharper Boolean-atom refinement, which also drives the bounded-edit
 blow-up approximation of pattern-free graphs.
 
 Every report carries both the certified bound the construction promises
-and the exactly measured error, so callers can assert the guarantee
-rather than the construction's luck.
+and the measured error (the cut norm exactly up to 24 steps, a proven upper
+bound above), so callers can assert the guarantee, not the luck.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, aggregate,
-                   as_bigraphon, check_basis, cut_norm, difference, graphon_from_graph,
-                   l1_norm, operator_product_values, rectangle_max)
+                   as_bigraphon, check_basis, cut_norm, cut_norm_upper, difference,
+                   graphon_from_graph, l1_norm, operator_product_values, rectangle_max)
 from .densities import bigraph_integral
 from .errors import (CertificationError, HypothesisError, InvalidInputError,
                      SizeLimitError)
@@ -28,7 +28,6 @@ from .metrics import (average_net, greedy_packing, neighborhood_metric, similari
                       voronoi_partition)
 from .setsystems import sauer_shelah_bound
 
-SZEMEREDI_MAX_STEPS = 20
 SLACK = 1e-9
 
 #: the error each partition variant certifies: the cut norm or the L1 norm
@@ -47,9 +46,9 @@ class PartitionReport:
 
     ``exact`` is True if and only if the graphon has k <= 24 steps
     (``CUT_NORM_MAX_STEPS``): cut_error is then the exact cut norm of
-    W - W_P, and otherwise the heuristic lower bound, which certifies
-    nothing. ``atom_count``/``sauer_bound`` are filled by the
-    thin variant only.
+    W - W_P, and otherwise ``cut_norm_upper``'s proven upper bound, so a
+    passing cut certificate is a proof either way. ``atom_count``/
+    ``sauer_bound`` are filled by the thin variant only.
     """
 
     partition: Partition
@@ -107,19 +106,19 @@ def partition_cut_error(w: StepGraphon, p: Partition) -> float:
     ``SizeLimitError``. The value is kept under ``(p, "cut")`` while ``w``
     is the graphon last measured, so the 2^k enumeration runs at most once
     per partition."""
-    return _derived(w, (p, "cut"), lambda: cut_norm(_residual(w, p)[1], mode="exact"))
+    return _derived(w, (p, "cut"), lambda: cut_norm(_residual(w, p)[1]))
 
 
 def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
                      **fields) -> PartitionReport:
     """Report of ``part`` with the errors of W - W_P measured: the L1 norm,
     and the one decision on how the cut norm is measured: exactly when
-    k <= ``CUT_NORM_MAX_STEPS``, else by the heuristic lower bound, which
-    no check reads. With ``check_l1`` an L1 error above the certified
-    bound raises."""
+    k <= ``CUT_NORM_MAX_STEPS``, else by ``cut_norm_upper``'s proven upper
+    bound. With ``check_l1`` an L1 error above the certified bound
+    raises."""
     _, diff = _residual(w, part)
     exact = diff.k <= CUT_NORM_MAX_STEPS
-    cut = partition_cut_error(w, part) if exact else cut_norm(diff, mode="heuristic")
+    cut = partition_cut_error(w, part) if exact else cut_norm_upper(diff)
     report = PartitionReport(partition=part, cut_error=cut, l1_error=l1_norm(diff),
                              exact=exact, **fields)
     if check_l1 and not report.certified("l1"):
@@ -157,10 +156,15 @@ def szemeredi_error(w: StepGraphon, p: Partition) -> float:
     call on the same array: it is ``partition_cut_error``, kept per
     partition, so a partition whose weak report has just measured it costs
     nothing more.
+
+    The guard is the cut norm's, k <= 24: with classes of n_a steps the
+    blocks sum at most sum_{a,b} 2^{n_a} n_b <= k sum_a 2^{n_a} <= k 2^k
+    subset columns (a block enumerates its shorter side), one cut norm's
+    worth at the same k.
     """
     check_basis(p, w)
-    if w.k > SZEMEREDI_MAX_STEPS:
-        raise SizeLimitError(f"exact Szemeredi error limited to {SZEMEREDI_MAX_STEPS} steps")
+    if w.k > CUT_NORM_MAX_STEPS:
+        raise SizeLimitError(f"exact Szemeredi error limited to {CUT_NORM_MAX_STEPS} steps")
     if p.c == 1:
         return partition_cut_error(w, p)
     _, r = _residual(w, p)

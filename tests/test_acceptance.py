@@ -30,7 +30,7 @@ def test_c01_cut_norm_oracle_equivalence():
     for seed in range(500):
         k = 2 + seed % 7
         kern = gl.zoo.random_kernel(k, seed=seed)
-        delta = abs(gl.cut_norm(kern, mode="exact") - brute_cut_norm(kern))
+        delta = abs(gl.cut_norm(kern) - brute_cut_norm(kern))
         worst = max(worst, delta)
         assert delta <= 1e-12
     print(f"\nPASS criterion 1: exact cut norm == brute force on 500 kernels "

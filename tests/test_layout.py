@@ -12,11 +12,11 @@ Four rules keep the package's design honest:
 - ``object.__setattr__`` is called only inside ``__init__`` or
   ``__post_init__``, so no value is written after construction and
   nothing is memoized on a value;
-- the heuristic cut norm, a lower bound that certifies nothing, is
-  reached only where a report above 24 steps measures its cut error:
-  ``cut_norm(..., mode="heuristic")`` only in
-  ``regularity._measured_report``, and ``_cut_norm_heuristic`` only in
-  ``core.cut_norm``. So no check reads it;
+- ``cut_norm_upper``, a proven upper bound on the cut norm, is reached
+  only in ``regularity._measured_report``, the one function that decides
+  how a report measures its cut error: exactly up to 24 steps, by the
+  bound above 24. So no check reads the bound where the exact value
+  exists;
 - ``einsum`` is called only in ``densities.partial_density``: a graph
   density is one planned einsum, and a bigraph density is a broadcast
   product, so each pattern kind has one contraction.
@@ -33,9 +33,8 @@ SHARED_PRIVATE = {"_frozen_array", "_measure_vector", "_derived"}
 
 SOURCES = sorted(Path(graphonlab.__file__).parent.glob("*.py"))
 
-#: (module, route, enclosing function) of each allowed use of the heuristic
-HEURISTIC_ROUTES = {("regularity.py", "cut_norm", "_measured_report"),
-                    ("core.py", "_cut_norm_heuristic", "cut_norm")}
+#: (module, enclosing function) of each allowed use of the cut norm's upper bound
+UPPER_BOUND_ROUTES = {("regularity.py", "_measured_report")}
 
 #: (module, enclosing function) of the one einsum call
 EINSUM_CALLERS = {("densities.py", "partial_density")}
@@ -83,19 +82,11 @@ def _called_name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def heuristic_routes(source: str) -> list[tuple[str, str | None]]:
-    """(route, enclosing function) of each way to the heuristic cut norm:
-    a ``cut_norm`` call whose mode is "heuristic", and any use of
-    ``_cut_norm_heuristic``."""
-    found = []
-    for node, function in nodes_in_functions(source):
-        if isinstance(node, ast.Call) and _called_name(node.func) == "cut_norm":
-            modes = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "mode"]
-            if any(isinstance(m, ast.Constant) and m.value == "heuristic" for m in modes):
-                found.append(("cut_norm", function))
-        if _called_name(node) == "_cut_norm_heuristic":
-            found.append(("_cut_norm_heuristic", function))
-    return found
+def upper_bound_routes(source: str) -> list[str | None]:
+    """The enclosing function of each use of ``cut_norm_upper``, called or
+    passed on (its definition and imports are not uses)."""
+    return [function for node, function in nodes_in_functions(source)
+            if _called_name(node) == "cut_norm_upper"]
 
 
 def einsum_calls(source: str) -> list[str | None]:
@@ -118,10 +109,12 @@ def test_values_are_written_only_while_constructed(path):
     assert late_setattrs(path.read_text()) == []
 
 
+# named for the heuristic lower bound that filled this role before the
+# proven upper bound replaced it
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_heuristic_cut_norm_is_reached_only_by_reports(path):
-    routes = {(path.name, *route) for route in heuristic_routes(path.read_text())}
-    assert routes <= HEURISTIC_ROUTES
+    routes = {(path.name, function) for function in upper_bound_routes(path.read_text())}
+    assert routes <= UPPER_BOUND_ROUTES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -143,14 +136,15 @@ def test_the_checks_see_violations():
         "    object.__setattr__(p, '_memo', 1)\n"
         "    def __init__(q):\n"
         "        object.__setattr__(q, 'y', 2)\n") == [5]
-    assert heuristic_routes(
+    assert upper_bound_routes(
+        "from .core import cut_norm, cut_norm_upper\n"
+        "def cut_norm_upper(r):\n"
+        "    return 0.0\n"
         "def _measured_report(w, p):\n"
-        "    return cut_norm(r, mode='heuristic')\n"
-        "def check(r, a):\n"
-        "    low = core.cut_norm(r, 'heuristic') <= cut_norm(r, mode='exact')\n"
-        "    return _cut_norm_heuristic(a, 20, 0)\n") == [
-        ("cut_norm", "_measured_report"), ("cut_norm", "check"),
-        ("_cut_norm_heuristic", "check")]
+        "    return cut_norm_upper(r)\n"
+        "def check(r):\n"
+        "    return core.cut_norm_upper(r) <= cut_norm(r) + _derived(w, k, cut_norm_upper)\n"
+        ) == ["_measured_report", "check", "check"]
     assert einsum_calls(
         "def partial_density(f, w):\n"
         "    return np.einsum('ab,a,b->', w.w, w.mu, w.mu)\n"

@@ -73,7 +73,26 @@ def partitioned_hosts(draw, max_k=8):
 def test_cut_norm_below_l1_norm(wp):
     w, p = wp
     r = gl.difference(w, gl.aggregate(w, p))
-    assert gl.cut_norm(r, mode="exact") <= gl.l1_norm(r) + 1e-12
+    assert gl.cut_norm(r) <= gl.l1_norm(r) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_hosts(max_k=20))
+def test_cut_norm_below_its_upper_bound_below_l1_norm(wp):
+    w, p = wp
+    r = gl.difference(w, gl.aggregate(w, p))
+    upper = gl.cut_norm_upper(r)
+    assert gl.cut_norm(r) <= upper <= gl.l1_norm(r)
+
+
+def test_spectral_bound_never_below_the_exact_value(monkeypatch):
+    # without the L1 term the bound is the padded eigenvalue alone, on the
+    # 500 kernels of criterion 1
+    monkeypatch.setattr(gl.core, "l1_norm", lambda r: np.inf)
+    for seed in range(500):
+        kern = gl.zoo.random_kernel(2 + seed % 7, seed=seed)
+        a = kern.mu[:, None] * kern.mu[None, :] * kern.w
+        assert max(gl.rectangle_max(a)) <= gl.cut_norm_upper(kern)
 
 
 @PROPERTY_SETTINGS
@@ -118,8 +137,8 @@ def test_aggregate_on_singletons_is_exact(w):
     assert np.array_equal(gl.aggregate(w, singletons).w, w.w)
     r = gl.difference(w, gl.aggregate(w, singletons))
     assert gl.szemeredi_error(w, singletons) == 0.0
-    assert gl.cut_norm(r, mode="exact") == 0.0
-    assert gl.cut_norm(r, mode="heuristic") == 0.0
+    assert gl.cut_norm(r) == 0.0
+    assert gl.cut_norm_upper(r) == 0.0
 
 
 @st.composite

@@ -84,9 +84,14 @@ def test_szemeredi_error_pinned_bits():
 
 
 def test_szemeredi_error_size_guard():
-    w = gl.zoo.random_stepfunction(21, seed=1)
+    w = gl.zoo.random_stepfunction(25, seed=1)
     with pytest.raises(gl.SizeLimitError):
         gl.szemeredi_error(w, gl.Partition.trivial(w.mu))
+    w = gl.zoo.random_stepfunction(24, seed=1)
+    one = gl.Partition.trivial(w.mu)
+    assert gl.szemeredi_error(w, one) == gl.partition_cut_error(w, one)
+    two = gl.Partition(w.mu, [i % 2 for i in range(24)])
+    assert gl.szemeredi_error(w, two) >= gl.partition_cut_error(w, two)
 
 
 def test_net_from_partition_examples(k2_graphon):
@@ -137,35 +142,42 @@ def _count_enumerations(monkeypatch):
     return calls
 
 
+def _count_upper_bounds(monkeypatch):
+    """Calls of ``cut_norm_upper`` from either module that binds it."""
+    calls = _count_calls(monkeypatch, gl.core, "cut_norm_upper")
+    monkeypatch.setattr(gl.regularity, "cut_norm_upper", gl.core.cut_norm_upper)
+    return calls
+
+
 def test_net_from_partition_exact_path_decides(monkeypatch):
     w, p = _certify_host()
     p = _fresh(p)
     expected = gl.net_from_partition(w, p)
-    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    upper = _count_upper_bounds(monkeypatch)
     exact = _count_calls(monkeypatch, gl.core, "rectangle_max")
     assert gl.net_from_partition(w, _fresh(p)) == expected
-    assert expected[1] > 0.0 and len(exact) == 1 and heuristic == []
+    assert expected[1] > 0.0 and len(exact) == 1 and upper == []
 
 
 def test_net_from_partition_raises_when_exact_falls_short(monkeypatch):
     w, p = _certify_host()
     p = _fresh(p)
     _, cost = gl.net_from_partition(w, p)
-    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    upper = _count_upper_bounds(monkeypatch)
     monkeypatch.setattr(gl.core, "rectangle_max", lambda a: (cost / 8.0, 0.0))
     with pytest.raises(gl.CertificationError):
         gl.net_from_partition(w, _fresh(p))
-    assert heuristic == []
+    assert upper == []
 
 
 def test_net_from_partition_above_the_guard_measures_no_cut_norm(monkeypatch):
     w = gl.zoo.random_stepfunction(gl.core.CUT_NORM_MAX_STEPS + 1, seed=11)
     p = random_partition(w.mu, 3, 11)
     exact = _count_enumerations(monkeypatch)
-    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    upper = _count_upper_bounds(monkeypatch)
     centers, cost = gl.net_from_partition(w, p)
     assert len(centers) == 3 and cost > 0.0
-    assert exact == [] and heuristic == []
+    assert exact == [] and upper == []
 
 
 def test_szemeredi_error_reads_the_weak_reports_cut_norm(monkeypatch):
@@ -182,9 +194,9 @@ def test_net_from_partition_reads_the_memoized_cut_norm(monkeypatch):
     w, p = _certify_host()
     expected = gl.net_from_partition(w, _fresh(p))
     exact = _count_enumerations(monkeypatch)
-    heuristic = _count_calls(monkeypatch, gl.core, "_cut_norm_heuristic")
+    upper = _count_upper_bounds(monkeypatch)
     assert gl.net_from_partition(w, p) == expected
-    assert exact == [] and heuristic == []
+    assert exact == [] and upper == []
 
 
 def test_another_graphon_on_the_same_basis_is_measured_afresh(monkeypatch):
@@ -476,11 +488,10 @@ def test_l1_partitions_raise_when_l1_exceeds_eps(monkeypatch, build):
         build(gl.zoo.half_graphon(8))
 
 
-@pytest.mark.parametrize("build", [
-    lambda w: gl.weak_partition_via_net(w, 0.05),
-    lambda w: gl.ultra_strong_partition(w, 0.3),
-], ids=["weak", "ultra"])
-def test_report_cut_error_is_exact_iff_k_at_most_24(build):
+@pytest.mark.parametrize("variant", ["weak", "ultra"])
+def test_report_cut_error_is_exact_iff_k_at_most_24(variant):
+    build = {"weak": lambda w: gl.weak_partition_via_net(w, 0.05),
+             "ultra": lambda w: gl.ultra_strong_partition(w, 0.3)}[variant]
     at = gl.zoo.half_graphon(24)
     rep = build(at)
     assert rep.exact and rep.cut_error == gl.partition_cut_error(at, rep.partition)
@@ -488,6 +499,8 @@ def test_report_cut_error_is_exact_iff_k_at_most_24(build):
     rep = build(above)
     residual = gl.difference(above, gl.aggregate(above, rep.partition))
     assert not rep.exact and rep.cut_error > 0.0
-    assert rep.cut_error == gl.cut_norm(residual, mode="heuristic")
+    assert rep.cut_error == gl.cut_norm_upper(residual)
+    # above 24 steps a passing cut certificate is a proof
+    assert variant != "weak" or rep.certified("cut")
     with pytest.raises(gl.SizeLimitError):
         gl.partition_cut_error(above, rep.partition)
