@@ -17,6 +17,7 @@ once. Nothing is cached on the value types themselves.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,10 +133,19 @@ class StepBigraphon:
         return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
 
 
-def _canonical_edges(edges, n) -> frozenset:
+def _integer(x, what: str) -> int:
+    """``x`` as a Python int: Python and numpy integers pass, anything else
+    (2.5, "1") is an input error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
+
+
+def _canonical_edges(edges, n: int) -> frozenset:
     out = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = _integer(e[0], "node"), _integer(e[1], "node")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for {n} nodes")
         if u == v:
@@ -152,9 +162,10 @@ class Graph:
     edges: frozenset
 
     def __init__(self, n: int, edges: Iterable = ()):
+        n = _integer(n, "node count")
         if n < 0:
             raise InvalidInputError("node count must be nonnegative")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _canonical_edges(edges, n))
 
     @classmethod
@@ -178,16 +189,17 @@ class Bigraph:
     edges: frozenset
 
     def __init__(self, n1: int, n2: int, edges: Iterable = ()):
+        n1, n2 = _integer(n1, "class size"), _integer(n2, "class size")
         if n1 < 0 or n2 < 0:
             raise InvalidInputError("class sizes must be nonnegative")
         out = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _integer(e[0], "node"), _integer(e[1], "node")
             if not (0 <= u < n1 and 0 <= v < n2):
                 raise InvalidInputError(f"edge ({u},{v}) out of range for ({n1},{n2})")
             out.add((u, v))
-        object.__setattr__(self, "n1", int(n1))
-        object.__setattr__(self, "n2", int(n2))
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "edges", frozenset(out))
 
 
@@ -206,12 +218,12 @@ class Partition:
 
     def __init__(self, base, assign: Sequence[int], c: int | None = None):
         base = _frozen_array(base)
-        assign = tuple(int(a) for a in assign)
+        assign = tuple(_integer(a, "class id") for a in assign)
         if len(assign) != base.size:
             raise InvalidInputError("assignment length must match the base step count")
         if c is None:
             c = (max(assign) + 1) if assign else 0
-        c = int(c)
+        c = _integer(c, "class count")
         if c <= 0:
             raise InvalidInputError("partition needs at least one class")
         seen = [False] * c

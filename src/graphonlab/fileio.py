@@ -45,15 +45,26 @@ def dumps_canonical(obj) -> str:
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 
-def load_json(path) -> dict:
-    """The JSON object in the file at ``path``; a missing file, invalid
-    JSON or any other top-level value (an array, a number) is an input
-    error."""
+def _read_text(path) -> str:
+    """The text of the file at ``path``; a missing file, one that cannot be
+    read (a directory, no permission) or one that does not decode is an
+    input error naming the path."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        return Path(path).read_text()
     except FileNotFoundError:
         raise InvalidInputError(f"no such file: {path}")
+    except OSError as e:
+        raise InvalidInputError(f"{path}: cannot read: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise InvalidInputError(f"{path}: not a text file ({e.reason} at byte {e.start})")
+
+
+def load_json(path) -> dict:
+    """The JSON object in the file at ``path``; a missing or unreadable
+    file, invalid JSON or any other top-level value (an array, a number)
+    is an input error."""
+    try:
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InvalidInputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):
@@ -82,7 +93,12 @@ def _built(path, build, *args):
 
 
 def write_text(path, text: str) -> None:
-    Path(path).write_text(text)
+    """Write ``text`` to ``path``; a file that cannot be written (a missing
+    directory, no permission) is an input error naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise InvalidInputError(f"{path}: cannot write: {e.strerror}")
 
 
 # -- graphons ---------------------------------------------------------------
@@ -137,11 +153,7 @@ def _parse_ints(line: str, count: int, path, lineno: int) -> list[int]:
 
 
 def _read_lines(path) -> list[str]:
-    try:
-        with open(path) as fh:
-            return [ln for ln in (raw.strip() for raw in fh) if ln]
-    except FileNotFoundError:
-        raise InvalidInputError(f"no such file: {path}")
+    return [ln for ln in (raw.strip() for raw in _read_text(path).split("\n")) if ln]
 
 
 def _edge_list_text(node_counts: tuple, edges) -> str:

@@ -9,7 +9,8 @@ and Voronoi partitions.
 The two metrics of a graphon are kept by ``core._derived`` while it is
 the graphon last measured, so a sequence of constructions on one graphon
 (a weak and an ultra-strong partition, a net from the weak partition)
-sweeps each metric once.
+sweeps each metric once. As L1 distances between rows they are metrics
+by construction, built with no triangle sweep (``_RowL1View``).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ TWIN_TOL = 1e-9
 #: largest point count for the exact branch-and-bound packing number
 PACKING_MAX_POINTS = 20
 
-
-#: triangle inequality is verified at construction (under __debug__) up to
-#: this many points; beyond that the O(k^3) sweep is opt-in via assert_metric
-TRIANGLE_CHECK_MAX = 64
-
 #: detour sums d(i,z) + d(z,j) in one block of ``triangle_violation``
 TRIANGLE_BLOCK = 1 << 16
 
@@ -41,9 +37,9 @@ TRIANGLE_BLOCK = 1 << 16
 class MetricView:
     """Finite measured metric space: one point per step.
 
-    ``dist`` is symmetric with zero diagonal. In debug mode (python without
-    -O) construction also verifies the triangle inequality on all triples
-    for k <= 64; ``assert_metric`` runs the same sweep explicitly.
+    ``dist`` is symmetric with zero diagonal. Construction runs the O(k^3)
+    triangle sweep of ``assert_metric`` at every k, also under python -O,
+    except for the library's row-L1 metrics, built as ``_RowL1View``.
     """
 
     mu: np.ndarray
@@ -61,7 +57,7 @@ class MetricView:
             raise InvalidInputError("distance matrix must have zero diagonal")
         if not np.array_equal(self.dist, self.dist.T):
             raise InvalidInputError("distance matrix must be symmetric")
-        if __debug__ and k <= TRIANGLE_CHECK_MAX:
+        if not isinstance(self, _RowL1View):
             self.assert_metric(1e-9)
 
     @property
@@ -130,8 +126,13 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
+@dataclass(frozen=True, eq=False)
+class _RowL1View(MetricView):
+    """Weighted L1 distances between rows, a metric by construction: not swept."""
+
+
 def _neighborhood_view(w: StepGraphon) -> MetricView:
-    return MetricView(w.mu, _row_l1_matrix(w.w, w.mu))
+    return _RowL1View(w.mu, _row_l1_matrix(w.w, w.mu))
 
 
 def neighborhood_metric(w: StepGraphon) -> MetricView:
@@ -142,8 +143,8 @@ def neighborhood_metric(w: StepGraphon) -> MetricView:
 
 def bigraphon_metrics(w: StepBigraphon) -> tuple[MetricView, MetricView]:
     """Row metric r_1 and column metric r_2 of a bigraphon."""
-    r1 = MetricView(w.mu1, _row_l1_matrix(w.w, w.mu2))
-    r2 = MetricView(w.mu2, _row_l1_matrix(w.w.T, w.mu1))
+    r1 = _RowL1View(w.mu1, _row_l1_matrix(w.w, w.mu2))
+    r2 = _RowL1View(w.mu2, _row_l1_matrix(w.w.T, w.mu1))
     return r1, r2
 
 

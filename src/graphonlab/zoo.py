@@ -39,15 +39,14 @@ def sphere_graphon(dim: int, n: int, seed: int) -> tuple[StepGraphon, np.ndarray
 
 
 def metric_graphon(dist, mu=None) -> StepGraphon:
-    """A metric of diameter <= 1, checked by ``MetricView`` and its
-    triangle sweep, viewed as a graphon (W = d). The identity map is
-    contractive from d to the neighborhood distance: r_W <= d entrywise.
+    """A metric of diameter <= 1, checked by ``MetricView`` (one triangle
+    sweep), viewed as a graphon (W = d). The identity map is contractive
+    from d to the neighborhood distance: r_W <= d entrywise.
     """
     dist = np.array(dist, dtype=float, ndmin=2)
     if dist.size == 0:
         raise InvalidInputError("distance matrix must be nonempty")
     view = MetricView(np.full(len(dist), 1.0 / len(dist)) if mu is None else mu, dist)
-    view.assert_metric()
     if np.any(view.dist > 1.0):
         raise InvalidInputError("metric diameter must be at most 1")
     return StepGraphon(view.mu, view.dist)

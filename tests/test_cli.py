@@ -46,6 +46,18 @@ def test_density_missing_file_exit_2(workdir):
     assert "nope.graphon" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "binary", "missing-dir"])
+def test_unreadable_or_unwritable_files_exit_2(workdir, case):
+    (workdir / "noise.graph").write_bytes(bytes([0x80, 0xff, 0xfe, 0x00, 0x9c]) * 40)
+    args = {"directory": ["report", workdir],
+            "binary": ["density", "--constant", "0.5", "--pattern", workdir / "noise.graph"],
+            "missing-dir": ["zoo", "half", "--n", "4", "-o", workdir / "nope" / "x.json"]}[case]
+    code, out, err = run_cli(*args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(args[-1]) in err
+
+
 def test_density_nan_bigraphon_exit_2(workdir):
     (workdir / "nan.bigraphon").write_text(
         '{"k1": 2, "k2": 1, "mu1": [0.5, 0.5], "mu2": [1.0], "w": [[NaN], [0.5]]}\n')

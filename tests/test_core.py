@@ -31,6 +31,12 @@ def test_graph_rejects_loops_and_bad_indices():
         gl.Graph(3, [(1, 1)])
     with pytest.raises(gl.InvalidInputError):
         gl.Graph(3, [(0, 3)])
+    # counts and node ids are integers: 2.5 nodes is not read as 2
+    for n, edges in [(2.5, [(0, 2)]), (2.5, []), ("3", []), (3, [(0, 1.5)])]:
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            gl.Graph(n, edges)
+    numpy_ints = gl.Graph(np.int64(3), [(np.int32(0), np.uint8(2))])
+    assert numpy_ints == gl.Graph(3, [(0, 2)]) and type(numpy_ints.n) is int
 
 
 def test_bigraphon_from_bigraph():
@@ -42,6 +48,10 @@ def test_bigraphon_from_bigraph():
     assert np.all(full.w == 1.0)
     with pytest.raises(gl.InvalidInputError):
         gl.bigraphon_from_bigraph(gl.Bigraph(0, 2))
+    for n1, n2, edges in [(1.5, 2, [(1, 0)]), (2, 2.0, []), (2, 2, [(0.5, 1)])]:
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            gl.Bigraph(n1, n2, edges)
+    assert gl.Bigraph(np.int64(2), 2, [(np.int64(1), 0)]) == gl.Bigraph(2, 2, [(1, 0)])
 
 
 def test_kernel_validation():
@@ -53,6 +63,12 @@ def test_kernel_validation():
         gl.StepGraphon(np.array([1.0, 0.0]), np.zeros((2, 2)))
     with pytest.raises(gl.InvalidInputError):
         gl.StepGraphon(np.array([1.0]), np.array([[1.5]]))
+    # class ids and counts are integers: 1.7 is not read as class 1
+    for assign, c in [([0, 1.7], None), ([0, 1], 2.0), (np.array([0.0, 1.0]), 2)]:
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            gl.Partition([0.5, 0.5], assign, c)
+    p = gl.Partition([0.5, 0.5], np.array([1, 0]), np.int64(2))
+    assert p.assign == (1, 0) and p.c == 2 and type(p.c) is int
 
 
 def test_kernel_rejects_non_finite():

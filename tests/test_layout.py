@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Four rules keep the package's design honest:
+Five rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -19,7 +19,10 @@ Four rules keep the package's design honest:
   exists;
 - ``einsum`` is called only in ``densities.partial_density``: a graph
   density is one planned einsum, and a bigraph density is a broadcast
-  product, so each pattern kind has one contraction.
+  product, so each pattern kind has one contraction;
+- no module reads ``__debug__`` or has an ``assert`` statement, so the
+  package checks the same inputs, and computes the same values, with or
+  without python -O.
 """
 
 import ast
@@ -95,6 +98,14 @@ def einsum_calls(source: str) -> list[str | None]:
             if isinstance(node, ast.Call) and _called_name(node.func) == "einsum"]
 
 
+def optimized_away(source: str) -> list[int]:
+    """Line numbers of ``assert`` statements and reads of ``__debug__``:
+    code that python -O removes or turns off."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__")
+
+
 def test_the_sources_are_found():
     assert {"core.py", "metrics.py", "regularity.py"} <= {p.name for p in SOURCES}
 
@@ -120,6 +131,11 @@ def test_the_heuristic_cut_norm_is_reached_only_by_reports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_einsum_is_called_only_for_graph_densities(path):
     assert {(path.name, function) for function in einsum_calls(path.read_text())} <= EINSUM_CALLERS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_nothing_depends_on_python_O(path):
+    assert optimized_away(path.read_text()) == []
 
 
 def test_the_checks_see_violations():
@@ -151,3 +167,10 @@ def test_the_checks_see_violations():
         "def _integrate(spec, factors):\n"
         "    return numpy.einsum(spec, *factors, optimize=True)\n"
         "total = einsum('a->', mu)\n") == ["partial_density", "_integrate", None]
+    assert optimized_away(
+        "'''callers can assert it; __debug__ in a docstring is no read'''\n"
+        "def check(view):\n"
+        "    assert view.k > 0, 'empty'\n"
+        "    if __debug__ and view.k <= 64:\n"
+        "        view.assert_metric()\n"
+        "debug = __debug__\n") == [3, 4, 6]

@@ -239,15 +239,26 @@ def test_contraction_similarity_below_neighborhood():
         assert np.all(sim <= nbr + 1e-12)
 
 
-def test_metrics_are_metrics():
-    for seed in range(15):
-        w = gl.zoo.random_stepfunction(2 + seed % 6, seed=40 + seed)
-        gl.neighborhood_metric(w).assert_metric(1e-9)
-        gl.similarity_metric(w).assert_metric(1e-9)
-        b = random_bigraphon(3, 4, seed)
-        r1, r2 = gl.bigraphon_metrics(b)
-        r1.assert_metric(1e-9)
-        r2.assert_metric(1e-9)
+def test_metrics_are_metrics(monkeypatch):
+    # the library builds its row-L1 metrics without a triangle sweep, so
+    # this test is what stands behind them, also above 64 steps and on
+    # both branches of _row_l1_matrix (0-1 and real values)
+    hosts = [gl.zoo.random_stepfunction(2 + seed % 6, seed=40 + seed) for seed in range(15)]
+    hosts += [gl.zoo.random_stepfunction(k, seed=k, zero_one=k % 2 == 0)
+              for k in (65, 72, 81, 100)]
+    bigraphons = [random_bigraphon(3, 4, seed) for seed in range(15)]
+    bigraphons += [random_bigraphon(65, 100, 1), random_bigraphon(90, 70, 2)]
+    sweeps = []
+    real_sweep = metrics.triangle_violation
+    monkeypatch.setattr(metrics, "triangle_violation",
+                        lambda d: sweeps.append(len(d)) or real_sweep(d))
+    views = [view for w in hosts for view in (gl.neighborhood_metric(w), gl.similarity_metric(w))]
+    views += [view for b in bigraphons for view in gl.bigraphon_metrics(b)]
+    assert sweeps == []
+    assert max(view.k for view in views) == 100
+    for view in views:
+        view.assert_metric(1e-9)
+    assert len(sweeps) == len(views)
 
 
 def test_metric_view_validation():
@@ -255,10 +266,26 @@ def test_metric_view_validation():
         gl.MetricView(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(gl.InvalidInputError):
         gl.MetricView(np.array([0.5, 0.5]), np.array([[0.1, 1.0], [1.0, 0.0]]))
-    # triangle inequality is caught at construction in debug mode
+    # a caller-built view is swept for the triangle inequality at
+    # construction at every size: here 3 points, and 70 points where only
+    # the last three break it
+    bad = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]])
     with pytest.raises(gl.InvalidInputError, match="triangle"):
-        gl.MetricView(np.array([1 / 3] * 3, dtype=float),
-                      np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]]))
+        gl.MetricView(np.full(3, 1 / 3), bad)
+    big = np.full((70, 70), 0.5)
+    big[-3:, -3:] = bad
+    np.fill_diagonal(big, 0.0)
+    with pytest.raises(gl.InvalidInputError, match="triangle inequality violated by 0.8"):
+        gl.MetricView(np.full(70, 1 / 70), big)
+    # ... and also under python -O
+    code = ("import numpy as np, graphonlab as gl\n"
+            "try:\n"
+            f"    gl.MetricView(np.full(3, 1 / 3), np.array({bad.tolist()}))\n"
+            "except gl.InvalidInputError as e:\n"
+            "    print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "triangle inequality violated by 0.8\n")
 
 
 def test_metric_view_rejects_a_2d_measure():

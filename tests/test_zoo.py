@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+import graphonlab.metrics as metrics
 from graphonlab.zoo import (binary_graphon, counterexample_U, half_graphon,
                             metric_graphon, random_stepfunction, sphere_graphon)
 
@@ -30,16 +31,23 @@ def test_sphere_matches_spherical_distance():
     assert abs(nm.dist[i, j] - angles[i, j]) <= 3 / np.sqrt(n)
 
 
-def test_metric_graphon_examples():
+def test_metric_graphon_examples(monkeypatch):
     two = metric_graphon(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(two.w, gl.graphon_from_graph(gl.Graph(2, [(0, 1)])).w)
     single = metric_graphon(np.zeros((1, 1)))
     assert single.k == 1 and single.w[0, 0] == 0.0
+    # the caller's matrix is swept once; the neighborhood metric, a metric
+    # by construction, is not swept
+    sweeps = []
+    real_sweep = metrics.triangle_violation
+    monkeypatch.setattr(metrics, "triangle_violation",
+                        lambda d: sweeps.append(len(d)) or real_sweep(d))
     k = 12
     i = np.arange(k)
     grid = metric_graphon(np.abs(i[:, None] - i[None, :]) / k)
     nm = gl.neighborhood_metric(grid)
     assert np.all(nm.dist <= grid.w + 1e-12)  # identity map is contractive
+    assert sweeps == [k]
 
 
 def test_metric_graphon_validation():
