@@ -17,13 +17,12 @@ once. Nothing is cached on the value types themselves.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidInputError, SizeLimitError
+from .errors import BasisMismatchError, InvalidInputError, SizeLimitError, as_integer
 
 #: tolerance for measure sums and basis comparisons
 MEASURE_TOL = 1e-9
@@ -37,7 +36,7 @@ RECTANGLE_BLOCK = 1 << 16
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("measures and values must be finite")
     arr.setflags(write=False)
     return arr
@@ -49,7 +48,7 @@ def _measure_vector(mu, name: str = "mu") -> np.ndarray:
     mu = _frozen_array(mu)
     if mu.ndim != 1 or mu.size == 0:
         raise InvalidInputError(f"{name} must be a nonempty 1-d vector")
-    if np.any(mu <= 0.0):
+    if mu.min() <= 0.0:
         raise InvalidInputError("steps of zero or negative measure are rejected")
     if abs(float(mu.sum()) - 1.0) > MEASURE_TOL:
         raise InvalidInputError(f"{name} must sum to 1 (tolerance 1e-9)")
@@ -84,7 +83,7 @@ class StepKernel:
             raise InvalidInputError(f"value matrix must be {k}x{k}, got {self.w.shape}")
         if not np.array_equal(self.w, self.w.T):
             raise InvalidInputError("value matrix must be exactly symmetric")
-        if np.any(self.w < self._value_lo) or np.any(self.w > self._value_hi):
+        if self.w.min() < self._value_lo or self.w.max() > self._value_hi:
             raise InvalidInputError(
                 f"values must lie in [{self._value_lo}, {self._value_hi}]")
 
@@ -118,7 +117,7 @@ class StepBigraphon:
         object.__setattr__(self, "w", _frozen_array(self.w))
         if self.w.shape != (self.mu1.size, self.mu2.size):
             raise InvalidInputError("value matrix shape does not match measures")
-        if np.any(self.w < 0.0) or np.any(self.w > 1.0):
+        if self.w.min() < 0.0 or self.w.max() > 1.0:
             raise InvalidInputError("bigraphon values must lie in [0, 1]")
 
     @property
@@ -133,19 +132,10 @@ class StepBigraphon:
         return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as a Python int: Python and numpy integers pass, anything else
-    (2.5, "1") is an input error."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
-
-
 def _canonical_edges(edges, n: int) -> frozenset:
     out = set()
     for e in edges:
-        u, v = _integer(e[0], "node"), _integer(e[1], "node")
+        u, v = as_integer(e[0], "node"), as_integer(e[1], "node")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u},{v}) out of range for {n} nodes")
         if u == v:
@@ -162,7 +152,7 @@ class Graph:
     edges: frozenset
 
     def __init__(self, n: int, edges: Iterable = ()):
-        n = _integer(n, "node count")
+        n = as_integer(n, "node count")
         if n < 0:
             raise InvalidInputError("node count must be nonnegative")
         object.__setattr__(self, "n", n)
@@ -189,12 +179,12 @@ class Bigraph:
     edges: frozenset
 
     def __init__(self, n1: int, n2: int, edges: Iterable = ()):
-        n1, n2 = _integer(n1, "class size"), _integer(n2, "class size")
+        n1, n2 = as_integer(n1, "class size"), as_integer(n2, "class size")
         if n1 < 0 or n2 < 0:
             raise InvalidInputError("class sizes must be nonnegative")
         out = set()
         for e in edges:
-            u, v = _integer(e[0], "node"), _integer(e[1], "node")
+            u, v = as_integer(e[0], "node"), as_integer(e[1], "node")
             if not (0 <= u < n1 and 0 <= v < n2):
                 raise InvalidInputError(f"edge ({u},{v}) out of range for ({n1},{n2})")
             out.add((u, v))
@@ -218,12 +208,12 @@ class Partition:
 
     def __init__(self, base, assign: Sequence[int], c: int | None = None):
         base = _frozen_array(base)
-        assign = tuple(_integer(a, "class id") for a in assign)
+        assign = tuple(as_integer(a, "class id") for a in assign)
         if len(assign) != base.size:
             raise InvalidInputError("assignment length must match the base step count")
         if c is None:
             c = (max(assign) + 1) if assign else 0
-        c = _integer(c, "class count")
+        c = as_integer(c, "class count")
         if c <= 0:
             raise InvalidInputError("partition needs at least one class")
         seen = [False] * c
@@ -409,6 +399,13 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     evaluated updates both sides, and a skipped pair never holds a larger
     value, so both results equal the full sweep's bit for bit.
 
+    Only the sums that can still be swept are sorted. When a side starts,
+    a high sum h can pass only if P_h + max Q + ``margin`` beats its best
+    value, and a low sum l only if Q_l + max P + ``margin`` does; the best
+    value only grows and rounding is monotone, so each set is a prefix of
+    its full decreasing order, ties included, and one comparison selects
+    it. A block takes at least two low sums, so at least two are kept.
+
     ``margin`` is 4 (k + m) 2^-53 (sum|a| + 2 sum|c|) for a k x m matrix,
     plus k + m units of the smallest subnormal for the rounding of the
     margin itself where it is subnormal (a sum or difference that lands
@@ -437,7 +434,10 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
     a = np.asarray(a, dtype=float)
-    a = a[np.any(a != 0.0, axis=1)][:, np.any(a != 0.0, axis=0)]
+    nonzero = a != 0.0
+    nonzero_rows, nonzero_cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if not (nonzero_rows.all() and nonzero_cols.all()):
+        a = a[nonzero_rows][:, nonzero_cols]
     if a.size == 0:
         return 0.0, 0.0
     if a.shape[0] > a.shape[1]:
@@ -491,13 +491,19 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
                                       + 2.0 * np.abs(centre).sum(axis=1)) + 2.0 ** -1074)
     high_bound = bounds(high, -centre[:, :, None])
     low_bound = bounds(low, centre[:, :, None])
-    rows_by_bound = np.argsort(-high_bound, axis=1, kind="stable")
-    high_bound = np.take_along_axis(high_bound, rows_by_bound, axis=1)
-    orders = np.argsort(-low_bound, axis=1, kind="stable")
-    low_bound = np.take_along_axis(low_bound, orders, axis=1)
+    high_max, low_max = high_bound.max(axis=1), low_bound.max(axis=1)
     for side in (0, 1):
-        rows, high_side, low_side = rows_by_bound[side], high_bound[side], low_bound[side]
-        lows, lows_total = low[:, orders[side]], low_total[orders[side]]
+        high_side, low_side = high_bound[side], low_bound[side]
+        # the only sums this side can still sweep: a prefix of each order
+        rows = np.flatnonzero((high_side + low_max[side]) + margin[side] > best[side])
+        lows = np.flatnonzero((low_side + high_max[side]) + margin[side] > best[side])
+        if lows.size == 1:
+            # a block evaluates at least two low sums
+            lows = np.argsort(-low_side, kind="stable")[:2]
+        rows = rows[np.argsort(-high_side[rows], kind="stable")]
+        lows = lows[np.argsort(-low_side[lows], kind="stable")]
+        high_side, low_side = high_side[rows], low_side[lows]
+        lows_total, lows = low_total[lows], low[:, lows]
         start = 0
         while start < len(rows):
             c = int(np.count_nonzero((high_side[start] + low_side) + margin[side] > best[side]))
@@ -555,14 +561,24 @@ def cut_norm_upper(r: StepKernel) -> float:
     with room for the padding's own roundings and for the exact
     enumeration's (a few k e sum |mu_i mu_j r_ij| <= k e |M|_F, by
     Cauchy-Schwarz), so a computed exact value never exceeds the bound.
+
+    The eigen-solve is skipped where the L1 term is the smaller one for
+    sure: every column of M has |M e_j|_2 <= |M|_2, and |M|_2 is at most
+    the computed spectral term plus padding, so a computed column norm
+    above twice the L1 term (each off by a few k e relative) proves that
+    the spectral term would exceed the L1 term, and the min is the L1
+    term bit for bit. Returning the L1 term is sound in any case.
     """
     if not r.w.any():
         return 0.0
     s = np.sqrt(r.mu)
     m = s[:, None] * r.w * s[None, :]
+    l1 = l1_norm(r)
+    if np.sqrt((m * m).sum(axis=0).max()) > 2.0 * l1:
+        return l1
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(m))))
     padding = r.k * 2.0 ** -40 * float(np.linalg.norm(m))
-    return min(l1_norm(r), spectral + padding)
+    return min(l1, spectral + padding)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +636,7 @@ def blow_up(h: Graph, sizes: Sequence[int], internal: Sequence[bool]) -> Graph:
     """
     if len(sizes) != h.n or len(internal) != h.n:
         raise InvalidInputError("sizes and internal flags must have one entry per node")
-    sizes = [int(s) for s in sizes]
+    sizes = [as_integer(s, "blow-up size") for s in sizes]
     if any(s < 1 for s in sizes):
         raise InvalidInputError("blow-up sizes must be positive")
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)

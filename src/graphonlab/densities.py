@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import Bigraph, Graph, StepBigraphon, StepGraphon
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, as_integer
 
 #: assignments guard: reject patterns with |V| * log2(k) above this
 PATTERN_GUARD_BITS = 40.0
@@ -36,8 +36,8 @@ def _guard(n_nodes: int, k: int, what: str = "pattern") -> None:
 
 
 def _check_assignment(x: StepAssignment, s, k: int, n: int, side: str = "") -> dict:
-    s = set(int(v) for v in s)
-    x = {int(a): int(b) for a, b in x.items()}
+    s = set(as_integer(v, "rooted node") for v in s)
+    x = {as_integer(a, "rooted node"): as_integer(b, "assigned step") for a, b in x.items()}
     if set(x) != s:
         raise InvalidInputError(f"assignment must cover exactly the rooted set {side}".rstrip())
     for v, step in x.items():

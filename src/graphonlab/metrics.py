@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Partition, StepBigraphon, StepGraphon, _derived, _frozen_array,
                    _measure_vector, aggregate, square)
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, as_integer
 
 #: twins are merged below this neighborhood distance
 TWIN_TOL = 1e-9
@@ -51,9 +51,9 @@ class MetricView:
         k = self.mu.size
         if self.dist.shape != (k, k):
             raise InvalidInputError("distance matrix shape does not match measures")
-        if np.any(self.dist < 0):
+        if self.dist.min() < 0.0:
             raise InvalidInputError("distances must be nonnegative")
-        if np.any(np.diag(self.dist) != 0.0):
+        if (np.diag(self.dist) != 0.0).any():
             raise InvalidInputError("distance matrix must have zero diagonal")
         if not np.array_equal(self.dist, self.dist.T):
             raise InvalidInputError("distance matrix must be symmetric")
@@ -102,9 +102,16 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """All pairwise weighted L1 distances between rows of ``values``.
 
     Exactly symmetric with a zero diagonal. A k x m real input costs
-    O(k^2 m) time in O(k m) working memory: row i is swept against the
-    rows after it, in one k x m buffer whose tail holds the differences,
-    and the upper triangle is mirrored.
+    O(k^2 m) time in O(k m + ``TRIANGLE_BLOCK``) working memory. The rows
+    are taken in blocks of ``TRIANGLE_BLOCK`` // (k m) rows, at least one
+    (one from k m > 2^15 on, k >= 182 for a square input); a block is one
+    broadcast subtraction and one ``abs`` of the differences between its
+    rows and the rows after its first, in one buffer. Each row i is then
+    weighted by its own product over its (k - 1 - i, m) C-order slice of
+    the rows after it, as a row-by-row sweep does: BLAS sums a row's
+    products in an order that depends on where the row sits in the call,
+    so one product over several rows could move the last bits. The upper
+    triangle is mirrored.
     """
     n = values.shape[0]
     if np.all((values == 0.0) | (values == 1.0)):
@@ -117,12 +124,15 @@ def _row_l1_matrix(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         np.fill_diagonal(d, 0.0)
         return d
     d = np.zeros((n, n))
-    buf = np.empty(values.shape)
-    for i in range(n - 1):
-        diff = buf[i + 1:]
-        np.subtract(values[i + 1:], values[i], out=diff)
+    step = max(1, TRIANGLE_BLOCK // values.size)
+    buf = np.empty((min(step, n),) + values.shape)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        diff = buf[:stop - start, start + 1:]
+        np.subtract(values[start + 1:], values[start:stop, None], out=diff)
         np.abs(diff, out=diff)
-        np.matmul(diff, weights, out=d[i, i + 1:])
+        for i in range(start, stop):
+            np.matmul(diff[i - start, i - start:], weights, out=d[i, i + 1:])
     return d + d.T
 
 
@@ -293,7 +303,7 @@ def voronoi_partition(m: MetricView, centers) -> Partition:
     in step order), except that a center always claims itself so every
     cell is nonempty.
     """
-    centers = [int(c) for c in centers]
+    centers = [as_integer(c, "center") for c in centers]
     if not centers:
         raise InvalidInputError("center list must be nonempty")
     if any(not (0 <= c < m.k) for c in centers):

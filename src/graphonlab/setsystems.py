@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import Bigraph, StepGraphon, _frozen_array, as_bigraphon
 from .densities import bigraph_integral
-from .errors import GraphonError, HypothesisError, InvalidInputError, SizeLimitError
+from .errors import (GraphonError, HypothesisError, InvalidInputError, SizeLimitError,
+                     as_integer)
 
 #: an atom counts as present when its weight exceeds this
 ATOM_TOL = 1e-12
@@ -36,7 +37,7 @@ def _to_mask(s: Iterable[int] | int, m: int) -> int:
         return mask
     mask = 0
     for e in s:
-        e = int(e)
+        e = as_integer(e, "element")
         if not (0 <= e < m):
             raise InvalidInputError(f"element {e} outside ground set of size {m}")
         mask |= 1 << e
@@ -63,7 +64,7 @@ class SetFamily:
     weights: np.ndarray | None = None
 
     def __init__(self, m: int, sets: Iterable, weights=None):
-        m = int(m)
+        m = as_integer(m, "ground set size")
         if m < 0:
             raise InvalidInputError("ground set size must be nonnegative")
         masks, seen = [], set()

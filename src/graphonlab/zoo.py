@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import StepBigraphon, StepGraphon
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, as_integer
 from .metrics import MetricView
 
 MAX_BINARY_DEPTH = 12
@@ -27,6 +27,7 @@ def sphere_graphon(dim: int, n: int, seed: int) -> tuple[StepGraphon, np.ndarray
     Returns the uniform-step graphon together with the sample points, kept
     for oracle checks against the normalized spherical distance.
     """
+    dim, n = as_integer(dim, "sphere dimension"), as_integer(n, "point count")
     if dim < 1:
         raise InvalidInputError("sphere dimension must be at least 1")
     if n < 2:
@@ -58,6 +59,7 @@ def half_graphon(n: int) -> StepGraphon:
     Row supports form a chain, the canonical thin 0-1 example: the
     2-matching bigraph is excluded as an induced sub-bigraph.
     """
+    n = as_integer(n, "step count")
     if n < 1:
         raise InvalidInputError("need at least one step")
     i = np.arange(n)
@@ -95,6 +97,7 @@ def binary_graphon(depth: int, variant: str = "sym") -> StepGraphon | StepBigrap
     metric is exactly sum_k 2^-k |x_k - x'_k| on the dyadic grid, and one
     column point per dyadic level is pairwise exactly 1/2 apart.
     """
+    depth = as_integer(depth, "depth")
     if depth < 1:
         raise InvalidInputError("depth must be at least 1")
     if depth > MAX_BINARY_DEPTH:
@@ -127,6 +130,7 @@ def counterexample_U() -> StepGraphon:
 
 def random_stepfunction(k: int, seed: int, zero_one: bool = False) -> StepGraphon:
     """Uniform-step graphon with i.i.d. symmetric values, keyed by seed."""
+    k = as_integer(k, "step count")
     if k < 1:
         raise InvalidInputError("need at least one step")
     rng = _rng(seed)
@@ -142,6 +146,7 @@ def random_kernel(k: int, seed: int):
     """Signed StepKernel test corpus: values in [-1,1], random measures."""
     from .core import StepKernel
 
+    k = as_integer(k, "step count")
     if k < 1:
         raise InvalidInputError("need at least one step")
     rng = _rng(seed)

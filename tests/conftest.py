@@ -130,14 +130,28 @@ def reference_row_l1(values, weights):
 
 
 def reference_row_sweep(values, weights):
-    """The allocating row sweep the in-place one replaced: a fresh
-    difference array per row, the same ufuncs in the same order, so the
-    two agree bit for bit."""
+    """The row-by-row sweep: a fresh C-order difference array per row and
+    one product over it. ``_row_l1_matrix`` takes the rows in blocks but
+    keeps each row's product over the same (k - 1 - i, m) C-order slice, so
+    the two agree bit for bit, also on a transposed (F-order) input."""
+    values = np.ascontiguousarray(values)
     n = values.shape[0]
     d = np.zeros((n, n))
     for i in range(n - 1):
         d[i, i + 1:] = np.abs(values[i + 1:] - values[i]) @ weights
     return d + d.T
+
+
+def reference_cut_norm_upper(r):
+    """``cut_norm_upper`` without its skip: the eigen-solve always runs, and
+    the smaller of the L1 term and the padded spectral term is returned."""
+    if not r.w.any():
+        return 0.0
+    s = np.sqrt(r.mu)
+    m = s[:, None] * r.w * s[None, :]
+    spectral = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    padding = r.k * 2.0 ** -40 * float(np.linalg.norm(m))
+    return min(gl.l1_norm(r), spectral + padding)
 
 
 def reference_triangle_violation(d):

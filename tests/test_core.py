@@ -5,7 +5,8 @@ import graphonlab as gl
 from graphonlab.core import operator_product_values
 
 from conftest import (brute_cut_norm, random_partition, reference_aggregate,
-                      reference_rectangle_max, rng, unpruned_rectangle_max)
+                      reference_cut_norm_upper, reference_rectangle_max, rng,
+                      unpruned_rectangle_max)
 
 
 def test_graphon_from_graph_k2(k2_graphon):
@@ -231,8 +232,11 @@ def _rectangle_fuzz():
         a[r.random(20) < 0.3] = 0.0
         a[:, r.random(19) < 0.3] = 0.0
         yield a
+    # rank one: the bound is tight, so after the seeds one low sum per side
+    # can pass, and a block still takes two
     for k in (2, 10, 17):
         yield np.outer(r.standard_normal(k), r.standard_normal(k))
+    yield np.outer(r.standard_normal(16), r.standard_normal(20))
     # the best pair's high sum ranks low by its bound: a sweep that stops
     # early returns a smaller value here
     for k, m in ((13, 13), (14, 16), (16, 18)):
@@ -296,12 +300,14 @@ def _rectangle_fuzz():
 
 
 def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
-    buffers = []
+    buffers, selected = [], []
 
     class Numpy:
         """numpy as ``core`` sees it, noting the layout of each buffer that
         ``maximum`` writes in place: every pair evaluation (seeds, one
-        block, pruned blocks) and every bound is one 3-d C-order array."""
+        block, pruned blocks) and every bound is one 3-d C-order array;
+        and the size of each selection of sums that can still be swept,
+        the high sums' then the low sums' per side."""
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -312,11 +318,22 @@ def test_rectangle_max_equals_the_unpruned_sweep_bit_for_bit(monkeypatch):
                 buffers.append((out.ndim, out.flags.c_contiguous))
             return np.maximum(x, y, out=out)
 
+        @staticmethod
+        def flatnonzero(x):
+            picked = np.flatnonzero(x)
+            selected.append(picked.size)
+            return picked
+
     monkeypatch.setattr(gl.core, "np", Numpy())
     for a in _rectangle_fuzz():
         got, want = gl.rectangle_max(a), unpruned_rectangle_max(a)
         assert [v.hex() for v in got] == [v.hex() for v in want], a.shape
     assert buffers and set(buffers) == {(3, True)}
+    # a side with one low sum left is swept (rank one), and every side keeps
+    # a high sum: the pair that holds the side's optimum has a bound at
+    # least that value, and the margin covers the rounding
+    high, low = selected[0::2], selected[1::2]
+    assert 1 in low and min(high) >= 1
 
 
 def test_rectangle_max_adds_a_one_column_table_pairwise():
@@ -448,6 +465,41 @@ def test_cut_norm_upper_padding_covers_a_tight_spectral_bound(monkeypatch):
         unpadded_below += np.abs(np.linalg.eigvalsh(s[:, None] * kern.w * s)).max() < exact
         assert exact <= gl.cut_norm_upper(kern)
     assert unpadded_below > 0
+
+
+def _sphere_residuals():
+    """(kind, W - W_P) of the ultra and weak reports on sphere hosts: an
+    ultra residual is nearly block diagonal, with a column norm of M above
+    twice its L1 norm; a weak residual's column norms are far below its L1
+    norm."""
+    for n, seed in ((200, 1), (300, 2)):
+        w = gl.zoo.sphere_graphon(2, n, seed)[0]
+        for kind, report in (("ultra", gl.ultra_strong_partition(w, 0.3)),
+                             ("weak", gl.weak_partition_via_net(w, 0.05))):
+            yield kind, gl.difference(w, gl.aggregate(w, report.partition))
+
+
+def test_cut_norm_upper_equals_the_always_solve_formula_bit_for_bit(monkeypatch):
+    kernels = list(_sphere_residuals())
+    kernels += [("random", gl.zoo.random_kernel(k, seed=300 + k)) for k in (1, 2, 5, 30, 120)]
+    want = [reference_cut_norm_upper(r) for _, r in kernels]
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.shape) or eigvalsh(m))
+    for (kind, r), value in zip(kernels, want):
+        before = len(solved)
+        assert gl.cut_norm_upper(r).hex() == value.hex(), (kind, r.k)
+        # the skip fires on every ultra residual and on no other kernel here
+        assert (len(solved) == before) == (kind == "ultra"), (kind, r.k)
+
+
+def test_cut_norm_upper_skips_the_eigen_solve_the_l1_term_beats(monkeypatch):
+    def no_solve(m):
+        raise AssertionError("solved for a bound the L1 term beats")
+
+    _, ultra = next(_sphere_residuals())
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    assert gl.cut_norm_upper(ultra) == gl.l1_norm(ultra) > 0.0
 
 
 def test_l1_norm_examples(k2_graphon):
@@ -617,6 +669,10 @@ def test_blow_up_examples():
     assert same.edges == {(0, 1)}
     with pytest.raises(gl.InvalidInputError):
         gl.blow_up(gl.Graph(2, [(0, 1)]), [2], [False, False])
+    # sizes are integers: 1.5 copies is not read as one
+    with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+        gl.blow_up(gl.Graph(2, [(0, 1)]), [1.5, 2], [False, False])
+    assert gl.blow_up(gl.Graph(2, [(0, 1)]), np.array([2, 2]), [False, False]) == k22
 
 
 def test_blow_up_density_matches_hom_counting():

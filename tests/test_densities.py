@@ -78,6 +78,13 @@ def test_partial_density_incomplete_assignment(k2_graphon):
     p3 = gl.Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(gl.InvalidInputError):
         gl.partial_density(p3, [0, 2], {0: 0}, k2_graphon)
+    # rooted nodes and steps are integers: 0.5 is not read as node 0
+    k3 = gl.Graph.complete(3)
+    for s, x in (([0.5], {0: 1}), ([0], {0: 1.7}), ([0], {0.0: 1})):
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            gl.partial_density(k3, s, x, k2_graphon)
+    assert gl.partial_density(k3, np.array([0]), {np.int64(0): np.int8(1)}, k2_graphon) == \
+        gl.partial_density(k3, [0], {0: 1}, k2_graphon)
 
 
 def test_full_assignment_is_pointwise_product():

@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Five rules keep the package's design honest:
+Six rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -20,6 +20,9 @@ Five rules keep the package's design honest:
 - ``einsum`` is called only in ``densities.partial_density``: a graph
   density is one planned einsum, and a bigraph density is a broadcast
   product, so each pattern kind has one contraction;
+- an eigen-solve (``eigvalsh``, ``eigh``, ``eig``, ``eigvals``) is called
+  only in ``core.cut_norm_upper``, the one spectral bound, whose docstring
+  proves its padding and when the solve is skipped;
 - no module reads ``__debug__`` or has an ``assert`` statement, so the
   package checks the same inputs, and computes the same values, with or
   without python -O.
@@ -41,6 +44,11 @@ UPPER_BOUND_ROUTES = {("regularity.py", "_measured_report")}
 
 #: (module, enclosing function) of the one einsum call
 EINSUM_CALLERS = {("densities.py", "partial_density")}
+
+EIGEN_SOLVES = {"eigvalsh", "eigh", "eig", "eigvals"}
+
+#: (module, enclosing function) of the one eigen-solve
+EIGEN_CALLERS = {("core.py", "cut_norm_upper")}
 
 
 def private_imports(source: str) -> list[str]:
@@ -98,6 +106,12 @@ def einsum_calls(source: str) -> list[str | None]:
             if isinstance(node, ast.Call) and _called_name(node.func) == "einsum"]
 
 
+def eigen_calls(source: str) -> list[str | None]:
+    """The enclosing function of each eigen-solve call."""
+    return [function for node, function in nodes_in_functions(source)
+            if isinstance(node, ast.Call) and _called_name(node.func) in EIGEN_SOLVES]
+
+
 def optimized_away(source: str) -> list[int]:
     """Line numbers of ``assert`` statements and reads of ``__debug__``:
     code that python -O removes or turns off."""
@@ -134,6 +148,11 @@ def test_einsum_is_called_only_for_graph_densities(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_eigen_solves_are_called_only_for_the_spectral_bound(path):
+    assert {(path.name, function) for function in eigen_calls(path.read_text())} <= EIGEN_CALLERS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_nothing_depends_on_python_O(path):
     assert optimized_away(path.read_text()) == []
 
@@ -167,6 +186,13 @@ def test_the_checks_see_violations():
         "def _integrate(spec, factors):\n"
         "    return numpy.einsum(spec, *factors, optimize=True)\n"
         "total = einsum('a->', mu)\n") == ["partial_density", "_integrate", None]
+    assert eigen_calls(
+        "def cut_norm_upper(r):\n"
+        "    return np.linalg.eigvalsh(m)\n"
+        "def spread(w):\n"
+        "    vals, vecs = numpy.linalg.eigh(w.w)\n"
+        "    return eig(w.w), linalg.eigvals(w.w), np.linalg.norm(w.w)\n"
+        ) == ["cut_norm_upper", "spread", "spread", "spread"]
     assert optimized_away(
         "'''callers can assert it; __debug__ in a docstring is no read'''\n"
         "def check(view):\n"

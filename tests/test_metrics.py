@@ -58,6 +58,27 @@ def test_row_l1_matrix_real_sweep_is_bit_identical_to_the_allocating_sweep():
         assert np.array_equal(_row_l1_matrix(w.w, w.mu), reference_row_sweep(w.w, w.mu))
 
 
+def _hex(d):
+    return [v.hex() for v in d.ravel().tolist()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 14, 20, 181, 182, 300])
+def test_row_l1_matrix_blocks_equal_the_row_sweep_bit_for_bit(k):
+    # 181 rows of 181 are two rows per block, 182 one: the two sides of the
+    # switch to one row per block. A 0-1 host with one fraction takes the
+    # real sweep too.
+    real = gl.zoo.random_stepfunction(k, seed=k)
+    zero_one = gl.zoo.random_stepfunction(k, seed=k + 1, zero_one=True).w.copy()
+    zero_one[0, -1] = zero_one[-1, 0] = 0.5
+    for values in (real.w, zero_one):
+        assert _hex(_row_l1_matrix(values, real.mu)) == _hex(reference_row_sweep(values, real.mu))
+    for k2 in (1, 3, 181, 360):
+        b = random_bigraphon(k, k2, seed=k * 7 + k2)
+        for values, weights in ((b.w, b.mu2), (b.w.T, b.mu1)):
+            assert _hex(_row_l1_matrix(values, weights)) == _hex(
+                reference_row_sweep(values, weights)), (values.shape, k2)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """The value arrays ``_row_l1_matrix`` is called on, in call order."""
@@ -481,6 +502,10 @@ def test_voronoi_examples(k2_graphon):
     assert part.classes() == [[0], [1], [2], [3], [4]]
     with pytest.raises(gl.InvalidInputError):
         gl.voronoi_partition(m, [])
+    # centers are integers: 1.5 is not read as center 1
+    with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+        gl.voronoi_partition(m, [1.5, 3])
+    assert gl.voronoi_partition(m, np.arange(5)).assign == part.assign
 
 
 def test_voronoi_ties_and_twin_centers():

@@ -243,6 +243,15 @@ def test_packing_vs_vc_bound():
         assert len(fam) <= (80 * max(k, 0)) ** max(k, 0) * eps ** (-20 * max(k, 0))
 
 
+def test_set_family_rejects_non_integer_sizes_and_elements():
+    # 2.5 elements is not read as 2, and element 1.5 is not element 1
+    for m, sets in ((2.5, [[0], [1]]), (3, [[0, 1.5]]), ("3", [])):
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            gl.SetFamily(m, sets)
+    fam = gl.SetFamily(np.int64(3), [np.array([0, 2]), [np.uint8(1)]])
+    assert fam.m == 3 and type(fam.m) is int and fam.members() == [[0, 2], [1]]
+
+
 def test_vc_ground_set_guard():
     with pytest.raises(gl.SizeLimitError):
         gl.vc_dimension(gl.SetFamily(26, [[0]]))

@@ -197,3 +197,10 @@ def test_generator_argument_errors():
         half_graphon(0)
     with pytest.raises(gl.InvalidInputError):
         sphere_graphon(0, 10, seed=0)
+    # counts are integers: 4.5 steps is an input error, not a TypeError
+    for build in (lambda: random_stepfunction(4.5, 1), lambda: half_graphon(4.5),
+                  lambda: sphere_graphon(2, 10.0, seed=0), lambda: binary_graphon(2.5),
+                  lambda: gl.zoo.random_kernel(3.5, 1)):
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            build()
+    assert half_graphon(np.int64(3)).k == 3
