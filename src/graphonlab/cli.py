@@ -4,38 +4,47 @@ Exit codes: 0 success with certified bounds, 1 a certified bound failed,
 2 input error, 3 hypothesis-check failure, 4 size guard, 5 internal error
 (any other exception; its traceback and message go to stderr). All output is
 deterministic given flags and seed: fixed key order, 17-digit floats.
+
+At module level this imports only the standard library and ``errors``.
+Each command imports the modules it calls when it runs, so a process
+loads only the layers its command uses: ``report`` reads JSON and compares
+three numbers without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
-import numpy as np
-
-from . import fileio, metrics, regularity, setsystems, zoo
-from .core import Graph, StepGraphon, as_bigraphon
-from .densities import bigraph_density, density, induced_density
-from .errors import (BasisMismatchError, CertificationError, GraphonError,
-                     HypothesisError, InvalidInputError, SizeLimitError)
-from .regularity import CERTIFIED_ERROR, within_bound
+from .errors import (CERTIFIED_ERROR, BasisMismatchError, CertificationError,
+                     GraphonError, HypothesisError, InvalidInputError, SizeLimitError,
+                     within_bound)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
+        from . import fileio
+
         fileio.write_text(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _load_pattern(path: str):
+    from . import fileio
+
     if path.endswith(".bigraph"):
         return fileio.load_bigraph(path)
     return fileio.load_graph(path)
 
 
 def cmd_density(args) -> int:
+    import numpy as np
+
+    from . import fileio
+    from .core import Graph, StepGraphon, as_bigraphon
+    from .densities import bigraph_density, density, induced_density
+
     host_graphon = host_bigraphon = None
     if args.constant is not None:
         p = float(args.constant)
@@ -64,6 +73,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from . import fileio, regularity
+    from .core import Graph
+
     w = fileio.load_graphon(args.graphon)
     extra = {}
     if args.variant == "weak":
@@ -103,6 +115,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from . import fileio, metrics
+
     w = fileio.load_graphon(args.graphon)
     view = metrics.similarity_metric(w) if args.similarity else metrics.neighborhood_metric(w)
     if args.packing:
@@ -125,6 +139,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_vc(args) -> int:
+    from . import fileio, setsystems
+
     fam = fileio.load_family(args.family)
     result = {"vc": setsystems.vc_dimension(fam)}
     if args.sym_diff:
@@ -138,6 +154,8 @@ def cmd_vc(args) -> int:
 
 
 def cmd_thinness(args) -> int:
+    from . import fileio, setsystems
+
     w = fileio.load_graphon(args.graphon)
     witness = setsystems.thinness_witness(w, args.kmax)
     if witness is None:
@@ -156,6 +174,11 @@ def cmd_thinness(args) -> int:
 
 
 def cmd_zoo(args) -> int:
+    import numpy as np
+
+    from . import fileio, zoo
+    from .core import StepGraphon
+
     if not args.output:
         raise InvalidInputError("zoo generators need -o/--output")
     kind = args.generator
@@ -186,9 +209,11 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import fileio
+
     doc = fileio.load_report(args.report)
     cut, l1, bound = (doc.get(key) for key in ("cut_error", "l1_error", "certified_bound"))
-    measured = cut if CERTIFIED_ERROR.get(doc["kind"], "l1") == "cut" else l1
+    measured = cut if CERTIFIED_ERROR[doc["kind"]] == "cut" else l1
     lines = [f"kind: {doc['kind']}",
              f"classes: {len(doc['classes'])}",
              f"cut_error: {cut} (exact: {doc.get('exact')})",
@@ -306,6 +331,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 5

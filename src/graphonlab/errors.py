@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by all modules, and the one integer check.
+"""Exception hierarchy shared by all modules, the one integer check and
+the one certificate comparison.
 
 The CLI maps these to exit codes: a violated certificate -> 1, invalid
 input / parse problems -> 2, failed hypothesis checks -> 3, size guards
 -> 4. Any other exception is an internal error -> 5.
+
+This module imports only the standard library, so ``graphonlab report``
+re-checks a certificate (``CERTIFIED_ERROR``, ``within_bound``) without
+loading numpy or any computing layer.
 """
 
 import operator
@@ -40,3 +45,16 @@ def as_integer(x, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise InvalidInputError(f"{what} must be an integer, got {x!r}")
+
+
+SLACK = 1e-9
+
+#: the error each partition variant certifies: the cut norm or the L1 norm
+CERTIFIED_ERROR = {"weak": "cut", "ultra": "l1", "thin": "l1"}
+
+
+def within_bound(value: float, bound: float | None) -> bool:
+    """The one certificate comparison: a measured value against its bound,
+    up to ``SLACK``; no bound always passes. Used by the constructions in
+    ``regularity`` and by ``graphonlab report``."""
+    return bound is None or value <= bound + SLACK

@@ -5,6 +5,10 @@ JSON; graphs and bigraphs are edge lists (a header of node counts and the
 edge count, then one edge per line); metric matrices are CSV. Writers
 emit floats at full precision (17 significant digits) with a fixed key
 order, so identical objects serialize to identical bytes.
+
+At module level this imports only the standard library and ``errors``: a
+loader imports the constructor it builds with, and numpy is imported where
+an array is made, so reading a partition report loads neither.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import CERTIFIED_ERROR, InvalidInputError
 
-from .core import Bigraph, Graph, Partition, StepBigraphon, StepGraphon
-from .errors import InvalidInputError
-from .setsystems import SetFamily
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import Bigraph, Graph, Partition, StepBigraphon, StepGraphon
+    from .setsystems import SetFamily
 
 
 def format_float(x: float) -> str:
@@ -25,14 +32,18 @@ def format_float(x: float) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    """JSON text with 17-significant-digit floats and insertion key order."""
+    """JSON text with 17-significant-digit floats and insertion key order.
+
+    A numpy float64 is a ``float``; other numpy scalars and arrays are
+    written as their ``tolist()``, the same numbers as Python ints and
+    floats."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -40,8 +51,10 @@ def dumps_canonical(obj) -> str:
         inner = ", ".join(f"{json.dumps(str(k))}: {dumps_canonical(v)}"
                           for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
+    if hasattr(obj, "tolist"):
+        return dumps_canonical(obj.tolist())
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -75,6 +88,8 @@ def load_json(path) -> dict:
 def _number_array(path, key: str, value) -> np.ndarray:
     """``value`` as a float array; ragged or non-numeric input is an input
     error, not a numpy exception."""
+    import numpy as np
+
     try:
         arr = np.array(value)
     except ValueError:
@@ -123,6 +138,8 @@ def _measure(path, d: dict, keys: str, count: str, measure: str) -> np.ndarray:
 
 
 def load_graphon(path) -> StepGraphon:
+    from .core import StepGraphon
+
     d = load_json(path)
     mu = _measure(path, d, "k, mu, w", "k", "mu")
     return _built(path, StepGraphon, mu, _number_array(path, "w", d["w"]))
@@ -134,6 +151,8 @@ def write_bigraphon(path, w: StepBigraphon) -> None:
 
 
 def load_bigraphon(path) -> StepBigraphon:
+    from .core import StepBigraphon
+
     d = load_json(path)
     mu1, mu2 = (_measure(path, d, "k1, k2, mu1, mu2, w", f"k{side}", f"mu{side}")
                 for side in "12")
@@ -178,6 +197,8 @@ def write_graph(path, g: Graph) -> None:
 
 
 def load_graph(path) -> Graph:
+    from .core import Graph
+
     return _load_edge_list(path, Graph, 1)
 
 
@@ -186,6 +207,8 @@ def write_bigraph(path, b: Bigraph) -> None:
 
 
 def load_bigraph(path) -> Bigraph:
+    from .core import Bigraph
+
     return _load_edge_list(path, Bigraph, 2)
 
 
@@ -202,6 +225,8 @@ def write_partition(path, p: Partition) -> None:
 
 
 def load_partition(path, base) -> Partition:
+    from .core import Partition
+
     d = load_json(path)
     classes = d.get("classes")
     if not _is_int_lists(classes):
@@ -223,6 +248,8 @@ def write_family(path, h: SetFamily) -> None:
 
 
 def load_family(path) -> SetFamily:
+    from .setsystems import SetFamily
+
     d = load_json(path)
     try:
         m, sets = d["m"], d["sets"]
@@ -249,10 +276,13 @@ def _is_number(value) -> bool:
 
 def load_report(path) -> dict:
     """A partition report with every field that ``graphonlab report`` reads
-    checked; ``kind`` defaults to "weak" and ``classes`` to []."""
+    checked; ``kind`` defaults to "weak" and ``classes`` to []. A ``kind``
+    outside ``CERTIFIED_ERROR`` is an input error: which error its bound
+    certifies is unknown."""
     doc = {"kind": "weak", "classes": [], **load_json(path)}
     edit = doc.get("edit")
-    checks = {"kind must be a string": isinstance(doc["kind"], str),
+    checks = {f"kind must be one of {', '.join(CERTIFIED_ERROR)}":
+                  isinstance(doc["kind"], str) and doc["kind"] in CERTIFIED_ERROR,
               "classes must be a list": isinstance(doc["classes"], list),
               "edit must be an object with finite numeric changed_cells and cell_bound":
                   "edit" not in doc or isinstance(edit, dict) and all(
@@ -270,6 +300,8 @@ def load_csv(path) -> np.ndarray:
     """The nonempty table of numbers in a comma-separated file, as a 2-d
     float array. A first row reading 0, 1, ..., k-1 above k rows of k
     numbers is a header (as ``MetricView.to_csv`` writes) and is dropped."""
+    import numpy as np
+
     rows = [ln.split(",") for ln in _read_lines(path)]
     try:
         table = np.array(rows).astype(float)

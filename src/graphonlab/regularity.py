@@ -22,23 +22,13 @@ from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, 
                    as_bigraphon, check_basis, cut_norm, cut_norm_upper, difference,
                    graphon_from_graph, l1_norm, operator_product_values, rectangle_max)
 from .densities import bigraph_integral
-from .errors import (CertificationError, HypothesisError, InvalidInputError,
-                     SizeLimitError)
+# CERTIFIED_ERROR and SLACK live in ``errors`` (numpy-free, for ``graphonlab
+# report``) and stay importable from here
+from .errors import (CERTIFIED_ERROR, SLACK, CertificationError, HypothesisError,
+                     InvalidInputError, SizeLimitError, within_bound)
 from .metrics import (average_net, greedy_packing, neighborhood_metric, similarity_metric,
                       voronoi_partition)
 from .setsystems import sauer_shelah_bound
-
-SLACK = 1e-9
-
-#: the error each partition variant certifies: the cut norm or the L1 norm
-CERTIFIED_ERROR = {"weak": "cut", "ultra": "l1", "thin": "l1"}
-
-
-def within_bound(value: float, bound: float | None) -> bool:
-    """The one certificate comparison: a measured value against its bound,
-    up to ``SLACK``; no bound always passes."""
-    return bound is None or value <= bound + SLACK
-
 
 @dataclass(frozen=True)
 class PartitionReport:

@@ -16,7 +16,12 @@ MAX_BINARY_DEPTH = 12
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """The PCG64 generator keyed by ``seed``, a nonnegative integer (Python
+    or numpy); 2.5, "3" or -1 is an input error."""
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def sphere_graphon(dim: int, n: int, seed: int) -> tuple[StepGraphon, np.ndarray]:

@@ -285,6 +285,15 @@ def test_zoo_subcommand_round_trip(workdir):
     assert fileio.load_bigraphon(workdir / "b.bigraphon").k1 == 4
 
 
+@pytest.mark.parametrize("args", [["random", "--k", "5", "--seed", "-1"],
+                                  ["sphere", "--n", "5", "--seed", "-3"]])
+def test_zoo_negative_seed_exit_2(workdir, capsys, args):
+    # these exited 5 on numpy's "expected non-negative integer"
+    assert main(["zoo", *args, "-o", str(workdir / "x.graphon")]) == 2
+    assert "error: seed must be nonnegative" in capsys.readouterr().err
+    assert not (workdir / "x.graphon").exists()
+
+
 def test_zoo_metric_from_csv(workdir):
     dist = workdir / "dist.csv"
     dist.write_text("0,0.5\n0.5,0\n")
@@ -369,6 +378,11 @@ def test_report_with_a_non_finite_number_exit_2(workdir, capsys, key, token):
 
 @pytest.mark.parametrize("doc", [
     {"kind": [1]},
+    # a kind outside weak, ultra and thin certifies no known error: "Weak"
+    # was checked as an L1 report
+    {"kind": "Weak", "cut_error": 0.1, "l1_error": 0.5, "certified_bound": 0.2},
+    {"kind": "strong"},
+    {"kind": ""},
     {"classes": 3},
     {"edit": 1},
     {"edit": {"changed_cells": "x", "cell_bound": 1}},

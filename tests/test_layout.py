@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Six rules keep the package's design honest:
+Seven rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -25,10 +25,16 @@ Six rules keep the package's design honest:
   proves its padding and when the solve is skipped;
 - no module reads ``__debug__`` or has an ``assert`` statement, so the
   package checks the same inputs, and computes the same values, with or
-  without python -O.
+  without python -O;
+- the package ``__init__``, ``errors``, ``cli`` and ``fileio`` import only
+  the standard library and ``.errors`` when they load; everything else is
+  imported inside the function that calls it, so ``import graphonlab``
+  loads no layer and each command loads only what it runs (``report``
+  runs without numpy).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +55,9 @@ EIGEN_SOLVES = {"eigvalsh", "eigh", "eig", "eigvals"}
 
 #: (module, enclosing function) of the one eigen-solve
 EIGEN_CALLERS = {("core.py", "cut_norm_upper")}
+
+#: modules that import only the standard library and ``.errors`` when they load
+LIGHT_MODULES = {"__init__.py", "errors.py", "cli.py", "fileio.py"}
 
 
 def private_imports(source: str) -> list[str]:
@@ -120,8 +129,37 @@ def optimized_away(source: str) -> list[int]:
                   or isinstance(node, ast.Name) and node.id == "__debug__")
 
 
+def load_time_imports(source: str) -> list[str]:
+    """Modules imported when the module loads, other than the standard
+    library and ``.errors``: imports outside functions and outside
+    ``if TYPE_CHECKING:`` blocks. A relative import reads ``.name``, an
+    absolute one gives its top-level package."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, ast.If) and _called_name(node.test) == "TYPE_CHECKING":
+            children = node.orelse
+        elif isinstance(node, ast.Import):
+            found.extend(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                found.append(node.module.split(".")[0])
+            else:
+                found.extend("." + name for name in
+                             ([node.module] if node.module else [a.name for a in node.names]))
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return [m for m in found if m != ".errors" and m not in sys.stdlib_module_names]
+
+
 def test_the_sources_are_found():
-    assert {"core.py", "metrics.py", "regularity.py"} <= {p.name for p in SOURCES}
+    names = {p.name for p in SOURCES}
+    assert {"core.py", "metrics.py", "regularity.py"} | LIGHT_MODULES <= names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -155,6 +193,12 @@ def test_eigen_solves_are_called_only_for_the_spectral_bound(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_nothing_depends_on_python_O(path):
     assert optimized_away(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in LIGHT_MODULES],
+                         ids=lambda p: p.name)
+def test_the_entry_modules_load_only_the_stdlib_and_errors(path):
+    assert load_time_imports(path.read_text()) == []
 
 
 def test_the_checks_see_violations():
@@ -200,3 +244,22 @@ def test_the_checks_see_violations():
         "    if __debug__ and view.k <= 64:\n"
         "        view.assert_metric()\n"
         "debug = __debug__\n") == [3, 4, 6]
+    assert load_time_imports(
+        "from __future__ import annotations\n"
+        "import argparse, os.path\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "from . import fileio, errors\n"
+        "from .errors import InvalidInputError\n"
+        "from graphonlab.core import Graph\n"
+        "if TYPE_CHECKING:\n"
+        "    from .core import StepGraphon\n"
+        "else:\n"
+        "    from .setsystems import SetFamily\n"
+        "def cmd_zoo(args):\n"
+        "    import numpy\n"
+        "    from . import zoo\n"
+        "class Report:\n"
+        "    from .metrics import MetricView\n"
+        "    f = lambda: __import__('numpy')\n"
+        ) == ["numpy", ".fileio", "graphonlab", ".setsystems", ".metrics"]

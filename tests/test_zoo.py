@@ -204,3 +204,17 @@ def test_generator_argument_errors():
         with pytest.raises(gl.InvalidInputError, match="must be an integer"):
             build()
     assert half_graphon(np.int64(3)).k == 3
+
+
+def test_seeds_are_nonnegative_integers():
+    # 2.5 was truncated to seed 2, "3" was read as 3 and -1 reached numpy's
+    # ValueError; each is now an input error
+    for build in (random_stepfunction, gl.zoo.random_kernel,
+                  lambda k, seed: sphere_graphon(2, k, seed)):
+        for seed, message in ((2.5, "must be an integer"), ("3", "must be an integer"),
+                              (-1, "must be nonnegative")):
+            with pytest.raises(gl.InvalidInputError, match=message):
+                build(4, seed)
+    assert np.array_equal(random_stepfunction(4, np.int64(2)).w, random_stepfunction(4, 2).w)
+    assert np.array_equal(random_stepfunction(4, np.uint64(2**63)).w,
+                          random_stepfunction(4, 2**63).w)
