@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all modules, the one integer check and
 the one certificate comparison.
 
-The CLI maps these to exit codes: a violated certificate -> 1, invalid
-input / parse problems -> 2, failed hypothesis checks -> 3, size guards
--> 4. Any other exception is an internal error -> 5.
+The CLI maps the subclasses to exit codes: a violated certificate -> 1,
+invalid input / parse problems and basis mismatches -> 2, failed
+hypothesis checks -> 3, size guards -> 4. Any other exception, the bare
+``GraphonError`` included, is an internal error -> 5; so no module raises
+the base class.
 
 This module imports only the standard library, so ``graphonlab report``
 re-checks a certificate (``CERTIFIED_ERROR``, ``within_bound``) without

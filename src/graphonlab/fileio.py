@@ -275,20 +275,22 @@ def _is_number(value) -> bool:
 
 
 def load_report(path) -> dict:
-    """A partition report with every field that ``graphonlab report`` reads
-    checked; ``kind`` defaults to "weak" and ``classes`` to []. A ``kind``
-    outside ``CERTIFIED_ERROR`` is an input error: which error its bound
-    certifies is unknown."""
-    doc = {"kind": "weak", "classes": [], **load_json(path)}
+    """A partition report as ``graphonlab partition`` writes it, with every
+    field that ``graphonlab report`` reads checked. Required: ``kind`` in
+    ``CERTIFIED_ERROR`` (else which error its bound certifies is unknown),
+    ``classes`` a list, ``exact`` a bool, and ``cut_error``, ``l1_error``
+    and ``certified_bound`` finite numbers; ``edit`` is optional. A missing
+    or mistyped field is an input error."""
+    doc = load_json(path)
     edit = doc.get("edit")
     checks = {f"kind must be one of {', '.join(CERTIFIED_ERROR)}":
-                  isinstance(doc["kind"], str) and doc["kind"] in CERTIFIED_ERROR,
-              "classes must be a list": isinstance(doc["classes"], list),
+                  isinstance(doc.get("kind"), str) and doc["kind"] in CERTIFIED_ERROR,
+              "classes must be a list": isinstance(doc.get("classes"), list),
+              "exact must be true or false": isinstance(doc.get("exact"), bool),
               "edit must be an object with finite numeric changed_cells and cell_bound":
                   "edit" not in doc or isinstance(edit, dict) and all(
                       _is_number(edit.get(key)) for key in ("changed_cells", "cell_bound")),
-              **{f"{key} must be a number and finite, or null":
-                     doc.get(key) is None or _is_number(doc[key])
+              **{f"{key} must be a number and finite": _is_number(doc.get(key))
                  for key in ("cut_error", "l1_error", "certified_bound")}}
     for message, ok in checks.items():
         if not ok:

@@ -22,10 +22,8 @@ from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, 
                    as_bigraphon, check_basis, cut_norm, cut_norm_upper, difference,
                    graphon_from_graph, l1_norm, operator_product_values, rectangle_max)
 from .densities import bigraph_integral
-# CERTIFIED_ERROR and SLACK live in ``errors`` (numpy-free, for ``graphonlab
-# report``) and stay importable from here
-from .errors import (CERTIFIED_ERROR, SLACK, CertificationError, HypothesisError,
-                     InvalidInputError, SizeLimitError, within_bound)
+from .errors import (CertificationError, HypothesisError, InvalidInputError, SizeLimitError,
+                     within_bound)
 from .metrics import (average_net, greedy_packing, neighborhood_metric, similarity_metric,
                       voronoi_partition)
 from .setsystems import sauer_shelah_bound
@@ -85,7 +83,6 @@ def _residual(w: StepGraphon, p: Partition) -> tuple:
     kept by ``_derived`` under ``(p, "residual")`` while ``w`` is the
     graphon last measured."""
     def build():
-        check_basis(p, w)
         wp = aggregate(w, p)
         return wp, difference(w, wp)
     return _derived(w, (p, "residual"), build)
@@ -356,8 +353,6 @@ def edit_blowup_approx(g: Graph | StepGraphon, f, eps: float) -> BlowupApprox:
     if float(np.max(np.abs(w0.mu - 1.0 / n))) > 1e-9:
         raise InvalidInputError(
             "cannot realize as a blow-up: step measures are not multiples of 1/n")
-    if not w0.is_zero_one():
-        raise HypothesisError("edit approximation requires a 0-1 input")
 
     report = thin_ultra_partition(w0, f, eps)
     part = report.partition

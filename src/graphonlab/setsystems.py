@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import Bigraph, StepGraphon, _frozen_array, as_bigraphon
 from .densities import bigraph_integral
-from .errors import (GraphonError, HypothesisError, InvalidInputError, SizeLimitError,
-                     as_integer)
+from .errors import (CertificationError, HypothesisError, InvalidInputError,
+                     SizeLimitError, as_integer)
 
 #: an atom counts as present when its weight exceeds this
 ATOM_TOL = 1e-12
@@ -223,8 +223,8 @@ def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
 
     Computes d = DE-dimension of the neighborhood family; if d < kmax the
     witness with d+1 and 2^(d+1) nodes is excluded, and the exact density
-    check t^b_ind(F, W) = 0 is verified before returning it. Returns None
-    when d >= kmax.
+    check t^b_ind(F, W) = 0 is verified before returning it; a nonzero
+    density raises ``CertificationError``. Returns None when d >= kmax.
     """
     if kmax < 1 or kmax > 6:
         raise InvalidInputError("kmax must be between 1 and 6")
@@ -235,8 +235,7 @@ def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
     f = witness_bigraph(d)
     val = bigraph_integral(f, as_bigraphon(w), induced=True)
     if val != 0.0:
-        raise GraphonError(
-            f"internal error: witness density {val} nonzero at DE-dimension {d}")
+        raise CertificationError(f"witness density {val} nonzero at DE-dimension {d}")
     return f
 
 

@@ -258,6 +258,14 @@ def test_thin_chain_with_3x8_witness(workdir):
     assert code == 0 and "certified: PASS" in out
 
 
+def test_thinness_witness_with_a_nonzero_density_exit_1(workdir, monkeypatch, capsys):
+    # the witness's exact density is its certificate: a nonzero one is a
+    # failed certificate, not an input error
+    monkeypatch.setattr(gl.setsystems, "bigraph_integral", lambda *args, **kwargs: 0.5)
+    assert main(["thinness", str(workdir / "half8.graphon")]) == 1
+    assert capsys.readouterr().err.startswith("certified bound violated:")
+
+
 def test_unexpected_exception_exit_5(workdir, monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
@@ -387,6 +395,17 @@ def test_report_with_a_non_finite_number_exit_2(workdir, capsys, key, token):
     {"edit": 1},
     {"edit": {"changed_cells": "x", "cell_bound": 1}},
     {"kind": "weak", "certified_bound": 1, "cut_error": 0.1, "edit": {}},
+    # every field that ``partition`` writes and ``report`` reads is required:
+    # no kind read as "weak", and no missing or null number read as no bound
+    {},
+    {"cut_error": 0.3, "l1_error": 0.1, "certified_bound": 0.25},
+    {"kind": "ultra", "classes": [[0]], "exact": True, "certified_bound": 0.3},
+    {"kind": "ultra", "classes": [[0]], "exact": True, "cut_error": 0.1,
+     "certified_bound": 0.3},
+    {"kind": "weak", "classes": [[0]], "exact": True, "cut_error": None, "l1_error": 0.1,
+     "certified_bound": 0.3},
+    {"kind": "weak", "classes": [[0]], "exact": 1, "cut_error": 0.1, "l1_error": 0.1,
+     "certified_bound": 0.3},
 ])
 def test_report_with_a_wrongly_typed_field_exit_2(workdir, capsys, doc):
     (workdir / "rep.json").write_text(json.dumps(doc))

@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Seven rules keep the package's design honest:
+Eight rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -26,6 +26,10 @@ Seven rules keep the package's design honest:
 - no module reads ``__debug__`` or has an ``assert`` statement, so the
   package checks the same inputs, and computes the same values, with or
   without python -O;
+- no module raises the bare ``GraphonError``: the CLI maps each subclass
+  to its documented exit code (1 certificate, 2 input, 3 hypothesis, 4
+  size guard), and the base class, like any other exception, is an
+  internal error (5);
 - the package ``__init__``, ``errors``, ``cli`` and ``fileio`` import only
   the standard library and ``.errors`` when they load; everything else is
   imported inside the function that calls it, so ``import graphonlab``
@@ -129,6 +133,13 @@ def optimized_away(source: str) -> list[int]:
                   or isinstance(node, ast.Name) and node.id == "__debug__")
 
 
+def bare_error_raises(source: str) -> list[int]:
+    """Line numbers of ``raise GraphonError`` statements, called or not."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and _called_name(getattr(node.exc, "func", node.exc)) == "GraphonError")
+
+
 def load_time_imports(source: str) -> list[str]:
     """Modules imported when the module loads, other than the standard
     library and ``.errors``: imports outside functions and outside
@@ -195,6 +206,11 @@ def test_nothing_depends_on_python_O(path):
     assert optimized_away(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_raise_maps_to_a_documented_exit_code(path):
+    assert bare_error_raises(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name in LIGHT_MODULES],
                          ids=lambda p: p.name)
 def test_the_entry_modules_load_only_the_stdlib_and_errors(path):
@@ -244,6 +260,18 @@ def test_the_checks_see_violations():
         "    if __debug__ and view.k <= 64:\n"
         "        view.assert_metric()\n"
         "debug = __debug__\n") == [3, 4, 6]
+    assert bare_error_raises(
+        "class GraphonError(Exception):\n"
+        "    'raise GraphonError in a docstring is no raise'\n"
+        "def check(val):\n"
+        "    if val:\n"
+        "        raise GraphonError(f'internal error: {val}')\n"
+        "    raise CertificationError('nonzero') from GraphonError\n"
+        "try:\n"
+        "    pass\n"
+        "except GraphonError:\n"
+        "    raise\n"
+        "raise errors.GraphonError\n") == [5, 11]
     assert load_time_imports(
         "from __future__ import annotations\n"
         "import argparse, os.path\n"

@@ -383,6 +383,24 @@ def test_equalize_example_three_quarters():
     assert after <= 2 * before + 1e-9
 
 
+def test_equalize_takes_back_the_seats_that_overshoot():
+    # ideal seats 0.3, 0.3 and 5.4 round to 1, 1 and 5, one over the target
+    # 3 ceil(1/0.6) = 6, so the largest class gives one back: 1, 1 and 4
+    w = gl.StepGraphon(np.array([0.05, 0.05, 0.45, 0.45]),
+                       np.array([[0.2, 0.5, 0.9, 0.1], [0.5, 0.3, 0.4, 0.6],
+                                 [0.9, 0.4, 0.8, 0.2], [0.1, 0.6, 0.2, 0.7]]))
+    p = gl.Partition(w.mu, [0, 1, 2, 2], 3)
+    before = gl.partition_cut_error(w, p)
+    assert before > 0.0  # the 0.9 class joins two different rows
+    w2, p2 = gl.equalize(w, p, 0.6)
+    assert p2.c == 3 * 2
+    assert np.allclose(p2.class_measures(), [0.05, 0.05, 0.225, 0.225, 0.225, 0.225],
+                       atol=1e-12)
+    assert float(np.max(np.abs(p2.class_measures() - 1.0 / p2.c))) <= 1.0 / 5
+    after = gl.partition_cut_error(w2, p2)
+    assert after == pytest.approx(before, abs=1e-12) and after <= 2 * before
+
+
 def test_equalize_contract_on_random_corpus():
     r = rng(17)
     for trial in range(20):
