@@ -363,9 +363,16 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def rectangle_max(a: np.ndarray) -> tuple[float, float]:
+def rectangle_max(a: np.ndarray, *, larger_side: bool = False) -> tuple[float, float] | float:
     """Largest positive and negative rectangle sums of ``a``:
-    (max_{S,T} sum_{S x T} a, max_{S,T} -sum_{S x T} a), both >= 0.
+    (max_{S,T} sum_{S x T} a, max_{S,T} -sum_{S x T} a), both >= 0; with
+    ``larger_side`` only the larger of the two, max_{S,T} |sum_{S x T} a|.
+    ``szemeredi_error`` adds each sign over its blocks, so it takes both;
+    ``cut_norm`` reads only the larger and sets ``larger_side``.
+
+    ``a`` must be a finite 2-d array (else ``InvalidInputError``) whose
+    shorter side, as given, has at most ``CUT_NORM_MAX_STEPS`` rows or
+    columns (else ``SizeLimitError``), since that side is enumerated.
 
     For a fixed row set S the best column set takes every column of the
     sign wanted, and sum_j max(0, -c_j) = sum_j max(0, c_j) - sum_j c_j, so
@@ -427,25 +434,48 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     as both tables are shifted by the same c; the centre only decides
     which pairs are swept.
 
+    The side whose best value is larger after the seeds is swept first.
+    With ``larger_side`` every comparison above that selects sums or sizes
+    a block is made against the larger of the two best values, not the
+    side's own. That is exact for the larger side: a pair skipped on side
+    s has a side-s value at most its bound plus ``margin``, so at most the
+    larger best value then, and both best values only grow, so at most the
+    final maximum; its other side is evaluated or skipped by that side's
+    own sweep. The seeds, ``evaluate`` and the margin are the same, so
+    every pair that could hold the maximum is evaluated as the same float,
+    and the value is max(positive, negative) of the full sweep bit for
+    bit, while the pairs of the smaller side below the larger value are
+    never swept.
+
     An enumeration of at most ``RECTANGLE_BLOCK`` pair columns (2^k m) is
     one block, swept without bounds. The worst case skips almost nothing
     (on an entrywise nonnegative matrix the negative side is rounding
-    noise below ``margin``): O(2^k m) time, in
-    O(2^{k/2} m + RECTANGLE_BLOCK) memory.
+    noise below ``margin``, swept whole unless ``larger_side``): O(2^k m)
+    time, in O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or not np.isfinite(a).all():
+        raise InvalidInputError("rectangle_max takes a finite 2-d array")
+    if min(a.shape) > CUT_NORM_MAX_STEPS:
+        raise SizeLimitError(
+            f"rectangle_max enumerates 2^k subsets of the shorter side; "
+            f"k={min(a.shape)} exceeds {CUT_NORM_MAX_STEPS}")
+
+    def result(pos, neg):
+        return max(pos, neg) if larger_side else (pos, neg)
+
     nonzero = a != 0.0
     nonzero_rows, nonzero_cols = nonzero.any(axis=1), nonzero.any(axis=0)
     if not (nonzero_rows.all() and nonzero_cols.all()):
         a = a[nonzero_rows][:, nonzero_cols]
     if a.size == 0:
-        return 0.0, 0.0
+        return result(0.0, 0.0)
     if a.shape[0] > a.shape[1]:
         a = a.T
     k, m = a.shape
     if k == 1:
         gain = float(np.maximum(a[0], 0.0).sum())
-        return gain, max(0.0, gain - float(a[0].sum()))
+        return result(gain, max(0.0, gain - float(a[0].sum())))
     half = k // 2
     low = _subset_sums(a[:half]).T.copy()
     high = _subset_sums(a[half:])
@@ -469,7 +499,7 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
         # one block holds every pair, and the bounds would cost more than
         # they skip
         evaluate(slice(None), low, low_total, slice(None))
-        return best[0], best[1]
+        return result(*best)
     # both signs' seed pairs (h*, l*) and centres c, as the docstring says;
     # row 0 of each stacked array is the positive side, row 1 the negative
     signs = np.array([[1.0], [-1.0]])
@@ -492,11 +522,19 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
     high_bound = bounds(high, -centre[:, :, None])
     low_bound = bounds(low, centre[:, :, None])
     high_max, low_max = high_bound.max(axis=1), low_bound.max(axis=1)
-    for side in (0, 1):
+
+    def floor(side):
+        # the value a pair must beat on this side to change the result
+        return max(best) if larger_side else best[side]
+
+    for side in ((0, 1) if best[0] >= best[1] else (1, 0)):
         high_side, low_side = high_bound[side], low_bound[side]
         # the only sums this side can still sweep: a prefix of each order
-        rows = np.flatnonzero((high_side + low_max[side]) + margin[side] > best[side])
-        lows = np.flatnonzero((low_side + high_max[side]) + margin[side] > best[side])
+        rows = np.flatnonzero((high_side + low_max[side]) + margin[side] > floor(side))
+        lows = np.flatnonzero((low_side + high_max[side]) + margin[side] > floor(side))
+        if rows.size == 0:
+            # no pair of this side can beat the floor (only with larger_side)
+            continue
         if lows.size == 1:
             # a block evaluates at least two low sums
             lows = np.argsort(-low_side, kind="stable")[:2]
@@ -506,15 +544,15 @@ def rectangle_max(a: np.ndarray) -> tuple[float, float]:
         lows_total, lows = low_total[lows], low[:, lows]
         start = 0
         while start < len(rows):
-            c = int(np.count_nonzero((high_side[start] + low_side) + margin[side] > best[side]))
+            c = int(np.count_nonzero((high_side[start] + low_side) + margin[side] > floor(side)))
             if c == 0:
                 break
             block_bounds = high_side[start:start + max(1, RECTANGLE_BLOCK // (m * c))]
             size = int(np.count_nonzero(
-                (block_bounds + low_side[(c - 1) // 2]) + margin[side] > best[side]))
+                (block_bounds + low_side[(c - 1) // 2]) + margin[side] > floor(side)))
             evaluate(rows[start:start + size], lows, lows_total, slice(max(c, 2)))
             start += size
-    return best[0], best[1]
+    return result(*best)
 
 
 def cut_norm(r: StepKernel) -> float:
@@ -524,9 +562,12 @@ def cut_norm(r: StepKernel) -> float:
     For stepfunctions the supremum over measurable sets is attained on
     unions of steps: with fractional memberships the objective is bilinear
     and a box-constrained bilinear maximum sits at a vertex. The value is
-    ``rectangle_max``, the larger of its two sides: the full enumeration
-    of the 2^k row subsets' values, bit for bit, with pruning described
-    there. An all-zero kernel (such as W - W_P on an all-singletons
+    ``rectangle_max(a, larger_side=True)``, the larger of its two sides:
+    the full enumeration of the 2^k row subsets' values, bit for bit, with
+    pruning described there. Only the larger side is asked for, so a pair
+    is swept only if its bound beats the larger best value so far, on
+    either sign; a pair of the smaller sign below it cannot change the
+    value. An all-zero kernel (such as W - W_P on an all-singletons
     partition) returns 0.0 without any search, after the size guard.
     """
     if r.k > CUT_NORM_MAX_STEPS:
@@ -535,7 +576,7 @@ def cut_norm(r: StepKernel) -> float:
     a = r.mu[:, None] * r.mu[None, :] * r.w
     if not a.any():
         return 0.0
-    return max(rectangle_max(a))
+    return rectangle_max(a, larger_side=True)
 
 
 def cut_norm_upper(r: StepKernel) -> float:
@@ -618,6 +659,7 @@ def split_step(w: StepGraphon, i: int, parts: int) -> StepGraphon:
     The result is weakly isomorphic to the input: all densities are
     preserved.
     """
+    i, parts = as_integer(i, "step index"), as_integer(parts, "parts")
     if not (0 <= i < w.k):
         raise InvalidInputError(f"step index {i} out of range [0,{w.k})")
     if parts < 2:

@@ -350,6 +350,100 @@ def test_rectangle_max_adds_a_one_column_table_pairwise():
         assert got[0] == positive.sum()
 
 
+def _larger_side_fuzz():
+    """Every ``_rectangle_fuzz`` matrix and its negation, so each sign is
+    the larger in turn (the fuzz holds the one-block path, k <= 12 square,
+    and entrywise nonnegative matrices), and rectangular ones at k = 1..20."""
+    for a in _rectangle_fuzz():
+        yield a
+        yield -a
+    r = rng(25)
+    for k in range(1, 21):
+        yield r.standard_normal((k, k + 3))
+        yield r.standard_normal((2 * k + 1, k))
+    # antisymmetric, so the two sides tie: the side swept second starts
+    # with its own maximum as the floor, and a floor set too high drops
+    # the first side's optimum here
+    for k in range(13, 21):
+        for _ in range(3):
+            u, v = r.standard_normal(k), r.standard_normal(k)
+            yield np.outer(u, v) - np.outer(v, u)
+
+
+def test_rectangle_max_larger_side_equals_the_unpruned_maximum_bit_for_bit(monkeypatch):
+    pairs = []
+
+    class Numpy:
+        """numpy as ``core`` sees it, counting the pairs ``evaluate``
+        sweeps: each is one column of a C-order (m, rows, cols) sum."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def add(*args, **kwargs):
+            out = np.add(*args, **kwargs)
+            if kwargs.get("order") == "C":
+                pairs[-1] += out.shape[1] * out.shape[2]
+            return out
+
+    monkeypatch.setattr(gl.core, "np", Numpy())
+    swept = {False: 0, True: 0}
+    for a in _larger_side_fuzz():
+        want = max(unpruned_rectangle_max(a))
+        for larger_side in (False, True):
+            pairs.append(0)
+            got = gl.rectangle_max(a, larger_side=larger_side)
+            swept[larger_side] += pairs[-1]
+        assert isinstance(got, float) and got.hex() == want.hex(), a.shape
+    # the smaller side's pairs below the larger value are never swept
+    assert swept[True] < swept[False] / 2
+
+
+def test_rectangle_max_larger_side_skips_the_negative_side_of_a_nonnegative_matrix(monkeypatch):
+    # the default call sweeps the negative side, rounding noise below the
+    # margin, as far as its bound reaches; the larger side needs none of it
+    selected = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def flatnonzero(x):
+            picked = np.flatnonzero(x)
+            selected.append(picked.size)
+            return picked
+
+    a = np.abs(rng(26).standard_normal((18, 18)))
+    monkeypatch.setattr(gl.core, "np", Numpy())
+    assert gl.rectangle_max(a, larger_side=True) == a.sum()
+    # per side the high sums' then the low sums' selection, positive first
+    assert selected[2:] == [0, 0]
+
+
+def test_rectangle_max_rejects_input_that_is_not_a_finite_matrix():
+    a = rng(27).standard_normal((6, 6))
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[2, 3] = bad
+        with pytest.raises(gl.InvalidInputError):
+            gl.rectangle_max(b)
+    for shape in ((6,), (2, 3, 3), ()):
+        with pytest.raises(gl.InvalidInputError):
+            gl.rectangle_max(np.ones(shape))
+
+
+def test_rectangle_max_size_guard_checks_the_input_as_given():
+    # the shorter side is enumerated; an all-zero matrix, which drops to
+    # nothing, is guarded too
+    for shape in ((30, 30), (25, 40), (40, 25)):
+        for a in (np.ones(shape), np.zeros(shape)):
+            with pytest.raises(gl.SizeLimitError):
+                gl.rectangle_max(a)
+    assert gl.rectangle_max(np.ones((3, 40))) == (120.0, 0.0)
+
+
 #: cut norms of W - W_P on the trivial partition of
 #: ``random_stepfunction(k, seed=k)``, as the unpruned sweep computed them;
 #: a kernel change that moves a bit fails here by name
@@ -647,6 +741,9 @@ def test_split_step_examples(constant_half):
     assert abs(gl.density(probe, split) - 0.5) <= 1e-15
     with pytest.raises(gl.InvalidInputError):
         gl.split_step(k2, 5, 2)
+    for i, parts in ((1.5, 2), (1, 2.5), ("0", 2), (0, None)):
+        with pytest.raises(gl.InvalidInputError):
+            gl.split_step(k2, i, parts)
 
 
 def test_split_then_purify_round_trip():

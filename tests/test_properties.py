@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import graphonlab as gl
 from graphonlab.metrics import _row_l1_matrix
 
-from conftest import reference_aggregate, reference_szemeredi_blocks
+from conftest import reference_aggregate, reference_szemeredi_blocks, unpruned_rectangle_max
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -83,6 +83,23 @@ def test_cut_norm_below_its_upper_bound_below_l1_norm(wp):
     r = gl.difference(w, gl.aggregate(w, p))
     upper = gl.cut_norm_upper(r)
     assert gl.cut_norm(r) <= upper <= gl.l1_norm(r)
+
+
+@st.composite
+def small_matrices(draw):
+    """A k x m matrix (or its transpose) with k <= m <= 18 and entries in
+    [-1, 1], ties frequent; from k = 13 on the kernel prunes."""
+    k = draw(st.integers(1, 16))
+    m = draw(st.integers(k, 18))
+    values = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    a = np.array(draw(st.lists(values, min_size=k * m, max_size=k * m))).reshape(k, m)
+    return a.T if draw(st.booleans()) else a
+
+
+@PROPERTY_SETTINGS
+@given(small_matrices())
+def test_rectangle_max_larger_side_is_the_unpruned_maximum(a):
+    assert gl.rectangle_max(a, larger_side=True).hex() == max(unpruned_rectangle_max(a)).hex()
 
 
 def test_spectral_bound_never_below_the_exact_value(monkeypatch):

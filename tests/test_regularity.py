@@ -164,7 +164,7 @@ def test_net_from_partition_raises_when_exact_falls_short(monkeypatch):
     p = _fresh(p)
     _, cost = gl.net_from_partition(w, p)
     upper = _count_upper_bounds(monkeypatch)
-    monkeypatch.setattr(gl.core, "rectangle_max", lambda a: (cost / 8.0, 0.0))
+    monkeypatch.setattr(gl.core, "rectangle_max", lambda a, *, larger_side: cost / 8.0)
     with pytest.raises(gl.CertificationError):
         gl.net_from_partition(w, _fresh(p))
     assert upper == []
