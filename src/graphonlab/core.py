@@ -34,8 +34,22 @@ CUT_NORM_MAX_STEPS = 24
 RECTANGLE_BLOCK = 1 << 16
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _real_array(a) -> np.ndarray:
+    """``a`` as a float array, not copied if it is one. Bool, integer and
+    float arrays pass; complex, string and bytes arrays and any failed
+    conversion (an object array holding a dict) are input errors, so no
+    imaginary part is dropped and no string array parsed."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind in "biufO":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError("values must be real numbers")
+
+
+def _frozen_array(a) -> np.ndarray:
+    arr = np.array(_real_array(a))
     if not np.isfinite(arr).all():
         raise InvalidInputError("measures and values must be finite")
     arr.setflags(write=False)
@@ -382,21 +396,28 @@ def rectangle_max(a: np.ndarray, *, larger_side: bool = False) -> tuple[float, f
     tables, a pair of a high-half sum h and a low-half sum l has column
     sums h + l, and its positive side is fl(h_j + l_j), then max(0, .),
     summed in column order j = 0..m-1, its negative side that sum minus
-    (h total + l total). Every evaluation is one C-order (m, rows, cols)
-    array summed down its first axis, which numpy adds in that order for
-    every shape but a lone (m, 1, 1) column, which it adds pairwise; so a
-    block takes at least two low sums. A one-row matrix (k = 1), whose
-    one-column low table the full sweep adds pairwise, is two sums.
+    (h total + l total). Every evaluation is a block of high sums against
+    low sums, laid out as one C-order (m, shorter side, longer side) array
+    summed down its first axis, which numpy adds in that order for every
+    shape but a lone (m, 1, 1) column, which it adds pairwise; so a block
+    takes at least two low sums. fl(h_j + l_j) = fl(l_j + h_j), so either
+    way round each pair is the same float, and numpy's inner loop runs
+    along the longer side. A one-row matrix (k = 1), whose one-column low
+    table the full sweep adds pairwise, is two sums.
 
     Pairs that cannot beat the best value found so far are skipped, by a
     separable bound: max(0, x + y) <= max(0, x - c_j) + max(0, y + c_j),
     so for any vector c the side of sign s (+1 or -1) of (h, l) is at most
     P_h + Q_l, with P_h = sum_j max(0, s h_j - c_j) and
     Q_l = sum_j max(0, s l_j + c_j). Each side is centred on a seed pair
-    (h*, l*) of its own: the high sum with the largest P_h at c = 0 is
-    evaluated against every low sum, then the low sum best for that side
-    against every high sum, and the best high sum there is h*;
-    c = (s h* - s l*) / 2 makes the bound tight at the seed. The high
+    (h*, l*) of its own, found by alternating maximisation on ``a``
+    itself: from the rows i with s sum_j a_ij > 0, keep the columns whose
+    sum over the chosen rows, times s, is positive, then the rows whose
+    sum over those columns is, until nothing changes or k rounds have run
+    (both signs as one (2, k, m) product). The seed row set splits into
+    its high-half and low-half indices h* and l*, and the 2 x 2 block of
+    both signs' seed pairs is evaluated, so each side starts from exact
+    floats. c = (s h* - s l*) / 2 makes the bound tight at the seed. The high
     sums, in decreasing order of P, are then swept in blocks against the
     prefix of the low sums, in decreasing order of Q, whose bound with the
     block's first high sum, plus ``margin``, beats the side's best value;
@@ -453,7 +474,7 @@ def rectangle_max(a: np.ndarray, *, larger_side: bool = False) -> tuple[float, f
     noise below ``margin``, swept whole unless ``larger_side``): O(2^k m)
     time, in O(2^{k/2} m + RECTANGLE_BLOCK) memory.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a)
     if a.ndim != 2 or not np.isfinite(a).all():
         raise InvalidInputError("rectangle_max takes a finite 2-d array")
     if min(a.shape) > CUT_NORM_MAX_STEPS:
@@ -485,15 +506,19 @@ def rectangle_max(a: np.ndarray, *, larger_side: bool = False) -> tuple[float, f
     best = [0.0, 0.0]
 
     def evaluate(rows, lows, lows_total, cols):
-        # both sides of every pair in rows x cols, noted in ``best``; without
-        # order="C" numpy may lay the sum out with m fastest and add it pairwise
-        gains = np.add(high[:, rows, None], lows[:, None, cols], order="C")
+        # both sides of every pair in rows x cols, noted in ``best``: one
+        # C-order (m, shorter side, longer side) sum, whose maximum is the
+        # same either way round; without order="C" numpy may lay the sum
+        # out with m fastest and add it pairwise
+        x, y = high[:, rows], lows[:, cols]
+        totals = high_total[rows, None] + lows_total[cols]
+        if x.shape[1] > y.shape[1]:
+            x, y, totals = y, x, totals.T
+        gains = np.add(x[:, :, None], y[:, None, :], order="C")
         np.maximum(gains, 0.0, out=gains)
         gain = gains.sum(axis=0)
-        neg = gain - (high_total[rows, None] + lows_total[cols])
         best[0] = max(best[0], float(gain.max()))
-        best[1] = max(best[1], float(neg.max()))
-        return gain, neg
+        best[1] = max(best[1], float((gain - totals).max()))
 
     if high.size * low.shape[1] <= RECTANGLE_BLOCK:
         # one block holds every pair, and the bounds would cost more than
@@ -511,12 +536,19 @@ def rectangle_max(a: np.ndarray, *, larger_side: bool = False) -> tuple[float, f
         x += shift
         return np.maximum(x, 0.0, out=x).sum(axis=1)
 
-    seeds = np.argmax(bounds(high, 0.0), axis=1)
-    gain, neg = evaluate(seeds, low, low_total, slice(None))
-    cols = [int(np.argmax(gain[0])), int(np.argmax(neg[1]))]
-    gain, neg = evaluate(slice(None), low, low_total, cols)
-    seeds = [int(np.argmax(gain[:, 0])), int(np.argmax(neg[:, 1]))]
-    centre = signs * (high[:, seeds] - low[:, cols]).T / 2.0
+    # the seed row sets, by alternating maximisation on both signs of a
+    signed = signs[:, :, None] * a
+    chosen = signed.sum(axis=2) > 0.0
+    for _ in range(k):
+        picked = np.matmul(chosen[:, None, :], signed)[:, 0] > 0.0
+        kept = np.matmul(signed, picked[:, :, None])[:, :, 0] > 0.0
+        if np.array_equal(kept, chosen):
+            break
+        chosen = kept
+    low_seeds = chosen[:, :half] @ (1 << np.arange(half))
+    high_seeds = chosen[:, half:] @ (1 << np.arange(k - half))
+    evaluate(high_seeds, low, low_total, low_seeds)
+    centre = signs * (high[:, high_seeds] - low[:, low_seeds]).T / 2.0
     margin = (k + m) * (2.0 ** -51 * (float(np.abs(a).sum())
                                       + 2.0 * np.abs(centre).sum(axis=1)) + 2.0 ** -1074)
     high_bound = bounds(high, -centre[:, :, None])

@@ -42,11 +42,14 @@ class CertificationError(GraphonError):
 
 def as_integer(x, what: str) -> int:
     """``x`` as a Python int: Python and numpy integers pass, anything else
-    (2.5, "1") is an input error, never truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
+    (2.5, "1", True) is an input error, never truncated; a bool is an int
+    subclass but not a count or an index here."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {x!r}")
 
 
 SLACK = 1e-9

@@ -96,6 +96,48 @@ def test_bigraphon_rejects_non_finite():
         gl.StepBigraphon(good, np.array([np.inf]), np.zeros((2, 1)))
 
 
+#: a 2 x 2 value matrix of each kind that is not real, none of which may be
+#: read as floats: no imaginary part dropped, no numeric string parsed, and
+#: an object that float() cannot convert is an input error, not a TypeError
+NOT_REAL = {"complex": np.array([[0.0, 0.5 + 1j], [0.5 + 1j, 0.0]]),
+            "str": np.array([["0", "0.5"], ["0.5", "0"]]),
+            "bytes": np.array([[b"0", b"0.5"], [b"0.5", b"0"]]),
+            "object": [[0.0, {}], [{}, 0.0]]}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+def test_values_that_are_not_real_are_input_errors(kind):
+    bad, half = NOT_REAL[kind], [0.5, 0.5]
+    for build in (lambda: gl.StepGraphon(half, bad), lambda: gl.StepKernel(half, bad),
+                  lambda: gl.StepBigraphon(half, half, bad), lambda: gl.MetricView(half, bad),
+                  lambda: gl.StepGraphon(np.asarray(bad)[0], np.eye(2)),
+                  lambda: gl.rectangle_max(bad)):
+        with pytest.raises(gl.InvalidInputError, match="real numbers"):
+            build()
+
+
+def test_bool_and_integer_values_pass():
+    for w in (np.array([[False, True], [True, False]]), np.array([[0, 1], [1, 0]]),
+              np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, 0]]):
+        assert gl.StepGraphon([0.5, 0.5], w).w.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert gl.rectangle_max(w) == (2.0, 0.0)
+    assert gl.rectangle_max(np.array([[3, -1]], dtype=np.int8)) == (3.0, 1.0)
+
+
+def test_a_bool_is_not_an_integer():
+    # bool is an int subclass, which operator.index takes as 0 or 1
+    w = gl.graphon_from_graph(gl.Graph(2, [(0, 1)]))
+    for call in (lambda: gl.Partition(w.mu, [True, False]),
+                 lambda: gl.Partition(w.mu, [0, 1], True),
+                 lambda: gl.split_step(w, True, 2),
+                 lambda: gl.split_step(w, 0, True),
+                 lambda: gl.voronoi_partition(gl.neighborhood_metric(w), [True]),
+                 lambda: gl.Graph(True)):
+        with pytest.raises(gl.InvalidInputError, match="must be an integer"):
+            call()
+    assert gl.Partition(w.mu, [np.int64(1), 0]).assign == (1, 0)
+
+
 def test_values_immutable(k2_graphon):
     with pytest.raises(ValueError):
         k2_graphon.w[0, 0] = 1.0
@@ -459,6 +501,41 @@ def test_cut_norm_pinned_bits(k):
     assert gl.cut_norm(r).hex() == PINNED_CUT_NORMS[k]
 
 
+#: pairs ``cut_norm`` evaluated on these residuals, seeds included, when
+#: each sign's seed came from two cross sweeps of the half-sum tables
+#: (4 * 2^(k/2) pairs of each); the pruned sweep may not evaluate more
+SWEPT_PAIRS_BEFORE = {14: 514, 16: 2753, 18: 2330, 20: 4237}
+
+
+@pytest.mark.parametrize("k", sorted(SWEPT_PAIRS_BEFORE))
+def test_cut_norm_sweeps_no_whole_row_or_column_of_pairs(monkeypatch, k):
+    shapes = []
+
+    class Numpy:
+        """numpy as ``core`` sees it, noting the (rows, cols) block of each
+        pair evaluation, in either order."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def add(*args, **kwargs):
+            out = np.add(*args, **kwargs)
+            if kwargs.get("order") == "C":
+                shapes.append(out.shape[1:])
+            return out
+
+    w = gl.zoo.random_stepfunction(k, seed=k)
+    r = gl.difference(w, gl.aggregate(w, gl.Partition.trivial(w.mu)))
+    monkeypatch.setattr(gl.core, "np", Numpy())
+    assert gl.cut_norm(r).hex() == PINNED_CUT_NORMS[k]
+    # 2^k k is above RECTANGLE_BLOCK, so no block is the one-block sweep;
+    # a block as long as a half-sum table spans a row or column of pairs
+    tables = {1 << (k // 2), 1 << (k - k // 2)}
+    assert shapes and not tables & {n for shape in shapes for n in shape}, shapes
+    assert sum(x * y for x, y in shapes) <= SWEPT_PAIRS_BEFORE[k]
+
+
 def _column_loop(terms):
     # terms[0] + terms[1] + ... + terms[m - 1], one term at a time
     total = terms[0].copy()
@@ -469,34 +546,47 @@ def _column_loop(terms):
 
 def _pair_gains(high, rows, lows, cols):
     # sum_j max(0, h_j + l_j) for every pair in rows x cols, laid out as
-    # rectangle_max's ``evaluate`` lays it out: one C-order (m, rows, cols)
-    # broadcast summed down its first axis
-    gains = np.add(high[:, rows, None], lows[:, None, cols], order="C")
-    return np.maximum(gains, 0.0, out=gains).sum(axis=0)
+    # rectangle_max's ``evaluate`` lays it out: one C-order (m, shorter side,
+    # longer side) broadcast summed down its first axis, here transposed
+    # back to (rows, cols) where the rows are the longer side
+    x, y = high[:, rows], lows[:, cols]
+    flip = x.shape[1] > y.shape[1]
+    if flip:
+        x, y = y, x
+    gains = np.add(x[:, :, None], y[:, None, :], order="C")
+    gain = np.maximum(gains, 0.0, out=gains).sum(axis=0)
+    return gain.T if flip else gain
 
 
 def test_pair_gains_broadcast_equals_the_column_loop_bit_for_bit():
     # rectangle_max relies on numpy adding a C-order (m, R, C) broadcast with
-    # R * C >= 2 down axis 0 in order j = 0..m-1, the full sweep's order; a
-    # numpy that changes its reduction order fails here by name
+    # R * C >= 2 down axis 0 in order j = 0..m-1, the full sweep's order,
+    # with either side the longer; fl(h + l) commutes, so both layouts give
+    # every pair the same float. A numpy that changes its reduction order
+    # on either layout fails here by name
     r = rng(23)
     for m in range(1, 25):
         for shape in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (5, 7), (64, 2),
-                      (1, 1024), (300, 10)):
+                      (1, 1024), (300, 10), (1024, 2), (2, 1024), (300, 4), (4, 300)):
             x = r.standard_normal((m,) + shape)
             assert np.array_equal(x.sum(axis=0), _column_loop(x)), (m, shape)
-    for rows in (1, 2, 3, 5, 8, 13, 64):
+    for rows in (1, 2, 3, 5, 8, 13, 64, 300, 1024):
         for m in range(1, 25):
-            high = r.standard_normal((m, 64))
+            high = r.standard_normal((m, 1024))
             lows = r.standard_normal((m, 1024))
             # a slice of the high sums (a block) and a fancy index (the seeds)
-            for picked in (slice(rows), r.permutation(64)[:rows]):
+            for picked in (slice(rows), r.permutation(1024)[:rows]):
                 for c in (1, 2, 3, 4, 7, 16, 33, 256, 1024):
-                    if rows * c < 2:
+                    # a block holds at most RECTANGLE_BLOCK pairs
+                    if rows * c < 2 or rows * c > 1 << 16:
                         continue
                     terms = np.maximum(high[:, picked, None] + lows[:, None, :c], 0.0)
                     assert np.array_equal(_pair_gains(high, picked, lows, slice(c)),
                                           _column_loop(terms)), (rows, m, c)
+                    # the other layout of the same block, (m, cols, rows)
+                    flipped = np.add(lows[:, :c, None], high[:, None, picked], order="C")
+                    np.maximum(flipped, 0.0, out=flipped)
+                    assert np.array_equal(flipped.sum(axis=0).T, _column_loop(terms)), (rows, m, c)
 
 
 def test_pair_gains_takes_the_column_loop_for_one_low_sum():
