@@ -146,16 +146,20 @@ class StepBigraphon:
         return bool(np.all((self.w == 0.0) | (self.w == 1.0)))
 
 
-def _canonical_edges(edges, n: int) -> frozenset:
-    out = set()
+def _edge_pairs(edges, n1: int, n2: int, size: str) -> list[tuple[int, int]]:
+    """Each edge as a pair (u, v) of integers with u < n1 and v < n2; an
+    edge that is not exactly two integers is an input error."""
+    out = []
     for e in edges:
-        u, v = as_integer(e[0], "node"), as_integer(e[1], "node")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidInputError(f"edge ({u},{v}) out of range for {n} nodes")
-        if u == v:
-            raise InvalidInputError(f"loop at node {u} is not allowed")
-        out.add((min(u, v), max(u, v)))
-    return frozenset(out)
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"edge {e!r} must be a pair of nodes") from None
+        u, v = as_integer(u, "node"), as_integer(v, "node")
+        if not (0 <= u < n1 and 0 <= v < n2):
+            raise InvalidInputError(f"edge ({u},{v}) out of range for {size}")
+        out.append((u, v))
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,12 @@ class Graph:
         n = as_integer(n, "node count")
         if n < 0:
             raise InvalidInputError("node count must be nonnegative")
+        pairs = _edge_pairs(edges, n, n, f"{n} nodes")
+        for u, v in pairs:
+            if u == v:
+                raise InvalidInputError(f"loop at node {u} is not allowed")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _canonical_edges(edges, n))
+        object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in pairs))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -196,15 +204,9 @@ class Bigraph:
         n1, n2 = as_integer(n1, "class size"), as_integer(n2, "class size")
         if n1 < 0 or n2 < 0:
             raise InvalidInputError("class sizes must be nonnegative")
-        out = set()
-        for e in edges:
-            u, v = as_integer(e[0], "node"), as_integer(e[1], "node")
-            if not (0 <= u < n1 and 0 <= v < n2):
-                raise InvalidInputError(f"edge ({u},{v}) out of range for ({n1},{n2})")
-            out.add((u, v))
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "edges", frozenset(out))
+        object.__setattr__(self, "edges", frozenset(_edge_pairs(edges, n1, n2, f"({n1},{n2})")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +223,7 @@ class Partition:
     c: int
 
     def __init__(self, base, assign: Sequence[int], c: int | None = None):
-        base = _frozen_array(base)
+        base = _measure_vector(base, "base")
         assign = tuple(as_integer(a, "class id") for a in assign)
         if len(assign) != base.size:
             raise InvalidInputError("assignment length must match the base step count")

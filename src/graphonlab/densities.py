@@ -3,8 +3,10 @@
 Densities are exact sums over all assignments of pattern nodes to steps.
 Rooted ("partial") variants fix some nodes at given steps; per our
 convention rooted nodes carry no measure factor, only the unassigned
-nodes are integrated. A graph density is one planned einsum; a bigraph
-density is a broadcast product that enumerates one class only.
+nodes are integrated. Each pattern kind has one entry point and one
+guard, which counts only the nodes that entry point enumerates: a graph
+density is one planned einsum over its free nodes; a bigraph density is
+a broadcast product that enumerates the free nodes of one class only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .core import Bigraph, Graph, StepBigraphon, StepGraphon
 from .errors import InvalidInputError, SizeLimitError, as_integer
 
-#: assignments guard: reject patterns with |V| * log2(k) above this
+#: assignments guard: reject densities whose enumerated nodes x log2(k) exceed this
 PATTERN_GUARD_BITS = 40.0
 
 _LETTERS = string.ascii_letters
@@ -28,10 +30,10 @@ _LETTERS = string.ascii_letters
 StepAssignment = Mapping[int, int]
 
 
-def _guard(n_nodes: int, k: int, what: str = "pattern") -> None:
+def _guard(n_nodes: int, k: int) -> None:
     if n_nodes * math.log2(max(k, 1)) > PATTERN_GUARD_BITS:
         raise SizeLimitError(
-            f"{what} too large: {n_nodes} nodes over {k} steps exceeds the "
+            f"pattern too large: {n_nodes} enumerated nodes over {k} steps exceeds the "
             f"2^{PATTERN_GUARD_BITS:.0f}-assignment guard")
 
 
@@ -64,13 +66,14 @@ def partial_density(f: Graph, s: Iterable[int], x: StepAssignment,
 
     One einsum, planned so that it stays within numpy's operand limit, over
     the edge values (sorted edges), the non-edge values 1 - W if
-    ``induced``, then a measure per free node; rooted nodes index their axes.
+    ``induced``, then a measure per free node; rooted nodes index their
+    axes. The free nodes x log2(k) must stay within the guard bits.
     """
     if f.n == 0:
         raise InvalidInputError("pattern graph has no nodes")
-    _guard(f.n, w.k)
     fixed = _check_assignment(x, s, w.k, f.n)
     free = [v for v in range(f.n) if v not in fixed]
+    _guard(len(free), w.k)
     if len(free) > len(_LETTERS):
         raise SizeLimitError("pattern too large for tensor contraction")
     letter = dict(zip(free, _LETTERS))
@@ -103,19 +106,8 @@ def bigraph_density(f: Bigraph, w: StepBigraphon, induced: bool = False) -> floa
 def partial_bigraph_density(f: Bigraph, s1: Iterable[int], s2: Iterable[int],
                             x: StepAssignment, y: StepAssignment,
                             w: StepBigraphon, induced: bool = False) -> float:
-    """Rooted bigraph density integrating only over the unassigned nodes."""
-    if f.n1 == 0 and f.n2 == 0:
-        raise InvalidInputError("pattern bigraph has no nodes")
-    _guard(f.n1 + f.n2, max(w.k1, w.k2))
-    x = _check_assignment(x, s1, w.k1, f.n1, "of class 1")
-    y = _check_assignment(y, s2, w.k2, f.n2, "of class 2")
-    return bigraph_integral(f, w, induced, x, y)
-
-
-def bigraph_integral(f: Bigraph, w: StepBigraphon, induced: bool = False,
-                     x: StepAssignment | None = None,
-                     y: StepAssignment | None = None) -> float:
-    """Rooted bigraph density for checked roots, factored over one class.
+    """Rooted bigraph density integrating only over the unassigned nodes,
+    factored over one class.
 
     The class with fewer free nodes (class 1 on a tie) is enumerated on a
     grid, one axis per free node; free nodes x log2(its step count) must
@@ -126,7 +118,10 @@ def bigraph_integral(f: Bigraph, w: StepBigraphon, induced: bool = False,
     multiplicity. The last free neighbour's rows enter that sum as a matrix
     product, so no array spans both the grid and the other class's steps.
     """
-    x, y = x or {}, y or {}
+    if f.n1 == 0 and f.n2 == 0:
+        raise InvalidInputError("pattern bigraph has no nodes")
+    x = _check_assignment(x, s1, w.k1, f.n1, "of class 1")
+    y = _check_assignment(y, s2, w.k2, f.n2, "of class 2")
     sides = [(f.n1, w.mu1, x), (f.n2, w.mu2, y)]
     edges, mat = f.edges, w.w
     if f.n2 - len(y) < f.n1 - len(x):
@@ -134,7 +129,7 @@ def bigraph_integral(f: Bigraph, w: StepBigraphon, induced: bool = False,
         edges, mat = {(v, u) for u, v in edges}, mat.T
     (n_a, mu_a, x_a), (n_b, mu_b, x_b) = sides
     axis = {u: i for i, u in enumerate(u for u in range(n_a) if u not in x_a)}
-    _guard(len(axis), len(mu_a), "enumerated class")
+    _guard(len(axis), len(mu_a))
     comp = 1.0 - mat
 
     def laid(t, u):  # u's rows at its root, or along its axis with b's steps last

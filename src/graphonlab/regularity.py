@@ -21,7 +21,7 @@ import numpy as np
 from .core import (CUT_NORM_MAX_STEPS, Graph, Partition, StepGraphon, _derived, aggregate,
                    as_bigraphon, check_basis, cut_norm, cut_norm_upper, difference,
                    graphon_from_graph, l1_norm, operator_product_values, rectangle_max)
-from .densities import bigraph_integral
+from .densities import bigraph_density
 from .errors import (CertificationError, HypothesisError, InvalidInputError, SizeLimitError,
                      within_bound)
 from .metrics import (average_net, greedy_packing, neighborhood_metric, similarity_metric,
@@ -235,21 +235,19 @@ def ultra_strong_partition(w: StepGraphon, eps: float) -> PartitionReport:
 def thin_ultra_partition(w: StepGraphon, f, eps: float) -> PartitionReport:
     """Ultra-strong partition of a 0-1 graphon excluding the bigraph f.
 
-    Verifies t^b_ind(f, W) = 0 exactly through the bigraph kernel
-    (``bigraph_integral``, under its enumeration guard, so any witness that
-    ``thinness_witness`` verifies is accepted), covers (J, r_W) by eps/4
-    balls and intersects the cells with the positive-measure atoms of the
-    Boolean algebra generated by the center-row supports. The atom count
-    obeys the Sauer-Shelah certificate sum_{i < |V(f)|} C(m, i), and the
-    aggregated L1 error is at most eps (the ball cover alone gives eps/2).
+    Verifies t^b_ind(f, W) = 0 exactly through ``bigraph_density``, the
+    check ``thinness_witness`` makes, so any witness it verifies is
+    accepted; covers (J, r_W) by eps/4 balls and intersects the cells with
+    the positive-measure atoms of the Boolean algebra generated by the
+    center-row supports. The atom count obeys the Sauer-Shelah certificate
+    sum_{i < |V(f)|} C(m, i), and the aggregated L1 error is at most eps
+    (the ball cover alone gives eps/2).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
     if not w.is_zero_one():
         raise HypothesisError("thin partitioning requires a 0-1 stepfunction")
-    if f.n1 == 0 and f.n2 == 0:
-        raise InvalidInputError("pattern bigraph has no nodes")
-    excluded = bigraph_integral(f, as_bigraphon(w), induced=True)
+    excluded = bigraph_density(f, as_bigraphon(w), induced=True)
     if excluded != 0.0:
         raise HypothesisError(
             f"pattern is not excluded: t^b_ind = {excluded:.6g} > 0")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Bigraph, StepGraphon, _frozen_array, as_bigraphon
-from .densities import bigraph_integral
+from .densities import bigraph_density
 from .errors import (CertificationError, HypothesisError, InvalidInputError,
                      SizeLimitError, as_integer)
 
@@ -226,6 +226,7 @@ def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
     check t^b_ind(F, W) = 0 is verified before returning it; a nonzero
     density raises ``CertificationError``. Returns None when d >= kmax.
     """
+    kmax = as_integer(kmax, "kmax")
     if kmax < 1 or kmax > 6:
         raise InvalidInputError("kmax must be between 1 and 6")
     fam, _ = neighborhood_family(w)
@@ -233,7 +234,7 @@ def thinness_witness(w: StepGraphon, kmax: int) -> Bigraph | None:
     if d >= kmax:
         return None
     f = witness_bigraph(d)
-    val = bigraph_integral(f, as_bigraphon(w), induced=True)
+    val = bigraph_density(f, as_bigraphon(w), induced=True)
     if val != 0.0:
         raise CertificationError(f"witness density {val} nonzero at DE-dimension {d}")
     return f

@@ -245,6 +245,20 @@ def test_thinness_witness_beyond_pattern_guard(workdir):
     assert code == 0 and "certified: PASS" in out
 
 
+def test_density_accepts_the_witness_thinness_writes(workdir):
+    # the 4x16 witness on a 20-step host enumerates 4 class-1 nodes (17
+    # bits), though its 20 nodes would span 86
+    host, witness_file = workdir / "r20.graphon", workdir / "w.bigraph"
+    code, _, err = run_cli("zoo", "random", "--k", 20, "--seed", 1, "--zero-one", "-o", host)
+    assert code == 0, err
+    code, out, err = run_cli("thinness", host, "--witness-out", witness_file)
+    assert code == 0, err
+    assert json.loads(out)["n2"] == 16
+    code, out, err = run_cli("density", "--graphon", host, "--pattern", witness_file)
+    assert code == 0, err
+    assert json.loads(out)["t_b_ind"] == 0
+
+
 def test_thin_chain_with_3x8_witness(workdir):
     host, witness_file, rep = (workdir / "r7.graphon", workdir / "w.bigraph",
                                workdir / "rep.json")
@@ -261,7 +275,7 @@ def test_thin_chain_with_3x8_witness(workdir):
 def test_thinness_witness_with_a_nonzero_density_exit_1(workdir, monkeypatch, capsys):
     # the witness's exact density is its certificate: a nonzero one is a
     # failed certificate, not an input error
-    monkeypatch.setattr(gl.setsystems, "bigraph_integral", lambda *args, **kwargs: 0.5)
+    monkeypatch.setattr(gl.setsystems, "bigraph_density", lambda *args, **kwargs: 0.5)
     assert main(["thinness", str(workdir / "half8.graphon")]) == 1
     assert capsys.readouterr().err.startswith("certified bound violated:")
 

@@ -40,6 +40,17 @@ def test_graph_rejects_loops_and_bad_indices():
     assert numpy_ints == gl.Graph(3, [(0, 2)]) and type(numpy_ints.n) is int
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gl.Graph(3, [(0, 1, 2)]),
+    lambda: gl.Bigraph(2, 2, [(0, 1, 1)]),
+    lambda: gl.Graph(3, [(0,)]),
+    lambda: gl.Graph(3, [5]),
+], ids=["graph-triple", "bigraph-triple", "graph-single", "graph-integer"])
+def test_an_edge_is_exactly_two_nodes(build):
+    with pytest.raises(gl.InvalidInputError, match="must be a pair of nodes"):
+        build()
+
+
 def test_bigraphon_from_bigraph():
     single = gl.bigraphon_from_bigraph(gl.Bigraph(1, 1, [(0, 0)]))
     assert single.w.tolist() == [[1.0]]
@@ -70,6 +81,14 @@ def test_kernel_validation():
             gl.Partition([0.5, 0.5], assign, c)
     p = gl.Partition([0.5, 0.5], np.array([1, 0]), np.int64(2))
     assert p.assign == (1, 0) and p.c == 2 and type(p.c) is int
+
+
+def test_partition_base_is_a_measure_vector():
+    for base, message in [([[0.5], [0.5]], "nonempty 1-d vector"),
+                          ([0.7, -0.3, 0.6], "zero or negative measure"),
+                          ([0.5, 0.4], "must sum to 1")]:
+        with pytest.raises(gl.InvalidInputError, match=message):
+            gl.Partition(base, list(range(len(base))))
 
 
 def test_kernel_rejects_non_finite():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
-from graphonlab.densities import bigraph_integral
 from graphonlab.setsystems import witness_bigraph
 
 from conftest import (brute_bigraph_density, brute_density, random_bigraph,
@@ -53,6 +52,24 @@ def test_density_contraction_guard_counts_free_nodes():
         gl.induced_density(path53, w)
     assert gl.partial_density(path53, [0], {0: 0}, w) == 0.5 ** 52
     assert gl.density(gl.Graph(52, [(i, i + 1) for i in range(51)]), w) == 0.5 ** 51
+
+
+def test_rooted_density_guard_counts_free_nodes():
+    # K9 with 5 roots at k = 32: the 4 free nodes enumerate 20 bits, which
+    # the guard accepts though |V| log2(k) = 45; brute force over 32^4 steps
+    k = 32
+    w = gl.zoo.random_stepfunction(k, seed=5)
+    k9 = gl.Graph.complete(9)
+    roots = {0: 3, 1: 17, 2: 17, 3: 30, 4: 0}
+    steps = list(roots.values()) + list(np.indices((k,) * 4).reshape(4, -1))
+    want = np.ones(k ** 4)
+    for u, v in k9.edges:
+        want *= w.w[steps[u], steps[v]]
+    for s in steps[5:]:
+        want *= w.mu[s]
+    want = float(want.sum())
+    got = gl.partial_density(k9, list(roots), roots, w)
+    assert want > 0 and abs(got - want) <= 1e-12 * want
 
 
 def test_partial_density_path_examples(k2_graphon, constant_half):
@@ -209,10 +226,20 @@ def test_density_invariant_under_split_and_permutation():
 
 
 def test_bigraph_density_size_guard():
+    # the guard counts the enumerated class only: 9 free nodes on each side
+    # enumerate 9 * log2(32) = 45 bits, a 5x4 pattern 4 * 5 = 20 bits
     big = gl.StepBigraphon(np.full(32, 1 / 32), np.full(32, 1 / 32),
                            np.zeros((32, 32)))
     with pytest.raises(gl.SizeLimitError):
-        gl.bigraph_density(random_bigraph(5, 4, seed=0), big)
+        gl.bigraph_density(random_bigraph(9, 9, seed=0), big)
+    # each step of a 2 x 2 host split into 16 leaves every density as it was
+    small = random_bigraphon(2, 2, seed=0)
+    split = gl.StepBigraphon(np.repeat(small.mu1 / 16, 16), np.repeat(small.mu2 / 16, 16),
+                             np.repeat(np.repeat(small.w, 16, axis=0), 16, axis=1))
+    f = random_bigraph(5, 4, seed=0)
+    for induced in (False, True):
+        want = brute_bigraph_density(f, small, induced)
+        assert abs(gl.bigraph_density(f, split, induced=induced) - want) <= 1e-12
 
 
 def test_partial_bigraph_incomplete_assignment():
@@ -241,7 +268,6 @@ def test_bigraph_kernel_matches_brute_force(n1, n2, roots1, roots2, induced):
         got = gl.partial_bigraph_density(f, list(roots1), list(roots2), roots1, roots2,
                                          w, induced=induced)
         assert abs(got - want) <= 1e-12
-        assert got == bigraph_integral(f, w, induced, roots1, roots2)
 
 
 @pytest.mark.parametrize("induced", [False, True])
@@ -279,7 +305,8 @@ def test_bigraph_kernel_enumeration_guard():
     big = gl.StepBigraphon(np.full(32, 1 / 32), np.full(32, 1 / 32),
                            np.zeros((32, 32)))
     with pytest.raises(gl.SizeLimitError):
-        bigraph_integral(random_bigraph(9, 20, seed=0), big)  # 9 * log2(32) = 45 > 40
+        gl.partial_bigraph_density(random_bigraph(9, 20, seed=0), [], [], {}, {},
+                                   big)  # 9 * log2(32) = 45 > 40
 
 
 def test_bigraph_kernel_large_host_in_small_memory():

@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Eight rules keep the package's design honest:
+Nine rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -20,6 +20,10 @@ Eight rules keep the package's design honest:
 - ``einsum`` is called only in ``densities.partial_density``: a graph
   density is one planned einsum, and a bigraph density is a broadcast
   product, so each pattern kind has one contraction;
+- the density size guard ``_guard`` is called once in each of
+  ``densities.partial_density`` and ``densities.partial_bigraph_density``,
+  the one entry point per pattern kind, so every density of a kind is
+  held to one rule on the nodes it enumerates;
 - an eigen-solve (``eigvalsh``, ``eigh``, ``eig``, ``eigvals``) is called
   only in ``core.cut_norm_upper``, the one spectral bound, whose docstring
   proves its padding and when the solve is skipped;
@@ -54,6 +58,9 @@ UPPER_BOUND_ROUTES = {("regularity.py", "_measured_report")}
 
 #: (module, enclosing function) of the one einsum call
 EINSUM_CALLERS = {("densities.py", "partial_density")}
+
+#: (module, enclosing function) of each density size-guard call, one per pattern kind
+GUARD_CALLS = [("densities.py", "partial_bigraph_density"), ("densities.py", "partial_density")]
 
 EIGEN_SOLVES = {"eigvalsh", "eigh", "eig", "eigvals"}
 
@@ -117,6 +124,12 @@ def einsum_calls(source: str) -> list[str | None]:
     """The enclosing function of each ``einsum`` call."""
     return [function for node, function in nodes_in_functions(source)
             if isinstance(node, ast.Call) and _called_name(node.func) == "einsum"]
+
+
+def guard_calls(source: str) -> list[str | None]:
+    """The enclosing function of each ``_guard`` call."""
+    return [function for node, function in nodes_in_functions(source)
+            if isinstance(node, ast.Call) and _called_name(node.func) == "_guard"]
 
 
 def eigen_calls(source: str) -> list[str | None]:
@@ -196,6 +209,12 @@ def test_einsum_is_called_only_for_graph_densities(path):
     assert {(path.name, function) for function in einsum_calls(path.read_text())} <= EINSUM_CALLERS
 
 
+def test_each_pattern_kind_guards_its_density_once():
+    calls = [(path.name, function) for path in SOURCES
+             for function in guard_calls(path.read_text())]
+    assert sorted(calls) == GUARD_CALLS
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_eigen_solves_are_called_only_for_the_spectral_bound(path):
     assert {(path.name, function) for function in eigen_calls(path.read_text())} <= EIGEN_CALLERS
@@ -246,6 +265,15 @@ def test_the_checks_see_violations():
         "def _integrate(spec, factors):\n"
         "    return numpy.einsum(spec, *factors, optimize=True)\n"
         "total = einsum('a->', mu)\n") == ["partial_density", "_integrate", None]
+    assert guard_calls(
+        "def _guard(n, k):\n"
+        "    return n\n"
+        "def partial_density(f, w):\n"
+        "    _guard(len(free), w.k)\n"
+        "def bigraph_kernel(f, w):\n"
+        "    densities._guard(f.n1 + f.n2, w.k1)\n"
+        "    _guard(len(axis), len(mu_a))\n") == [
+        "partial_density", "bigraph_kernel", "bigraph_kernel"]
     assert eigen_calls(
         "def cut_norm_upper(r):\n"
         "    return np.linalg.eigvalsh(m)\n"

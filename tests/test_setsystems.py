@@ -189,6 +189,14 @@ def test_thinness_witness_none_when_dimension_high():
     assert gl.thinness_witness(w, min(d + 1, 6)) is not None
 
 
+def test_thinness_witness_kmax_is_an_integer():
+    w = gl.StepGraphon(np.array([0.5, 0.5]), np.zeros((2, 2)))
+    for kmax in (2.5, True, "2"):
+        with pytest.raises(gl.InvalidInputError, match="kmax must be an integer"):
+            gl.thinness_witness(w, kmax)
+    assert gl.thinness_witness(w, np.int64(2)).n1 == 1
+
+
 def test_witness_shape():
     f = witness_bigraph(2)
     assert f.n1 == 3 and f.n2 == 8
