@@ -1,16 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 success with certified bounds, 1 a certified bound failed
-(``CertificationError``, which includes a thinness witness whose exact
-density is not 0), 2 input error, 3 hypothesis-check failure, 4 size guard,
-5 internal error (any other exception; its traceback and message go to
-stderr). All output is deterministic given flags and seed: fixed key order,
-17-digit floats.
+(``CertificationError``, a thinness witness whose exact density is not 0,
+or a bound ``report`` re-checks), 2 input error, 3 hypothesis-check failure
+(a host that is not 0-1 included), 4 size guard, 5 internal error (any
+other exception; its traceback and message go to stderr). All output is
+deterministic given flags and seed: fixed key order, 17-digit floats.
 
 At module level this imports only the standard library and ``errors``.
 Each command imports the modules it calls when it runs, so a process
 loads only the layers its command uses: ``report`` reads JSON and compares
-three numbers without loading numpy.
+its numbers with their bounds without loading numpy.
 """
 
 from __future__ import annotations
@@ -219,8 +219,9 @@ def cmd_report(args) -> int:
              f"l1_error: {l1}"]
     if doc.get("net_cost") is not None:
         lines.append(f"net_cost: {doc['net_cost']}")
-    if doc.get("atom_count") is not None:
-        lines.append(f"atoms: {doc['atom_count']} <= {doc.get('sauer_bound')}")
+    atoms_ok = "atom_count" not in doc or within_bound(doc["atom_count"], doc["sauer_bound"])
+    if "atom_count" in doc:
+        lines.append(f"atoms: {doc['atom_count']} {'<=' if atoms_ok else '>'} {doc['sauer_bound']}")
     ok = within_bound(measured, bound)
     lines.append(f"certified: {'PASS' if ok else 'FAIL'} "
                  f"(measured {measured} vs bound {bound})")
@@ -231,7 +232,7 @@ def cmd_report(args) -> int:
         lines.append(f"edit: {'PASS' if cells_ok else 'FAIL'} "
                      f"({e['changed_cells']} cells vs {e['cell_bound']})")
     _emit("\n".join(lines) + "\n", args.output)
-    return 0 if ok else 1
+    return 0 if ok and atoms_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

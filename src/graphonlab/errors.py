@@ -58,8 +58,8 @@ SLACK = 1e-9
 CERTIFIED_ERROR = {"weak": "cut", "ultra": "l1", "thin": "l1"}
 
 
-def within_bound(value: float, bound: float | None) -> bool:
+def within_bound(value: float, bound: float) -> bool:
     """The one certificate comparison: a measured value against its bound,
-    up to ``SLACK``; no bound always passes. Used by the constructions in
-    ``regularity`` and by ``graphonlab report``."""
-    return bound is None or value <= bound + SLACK
+    up to ``SLACK``. Used by the constructions in ``regularity`` and by
+    ``graphonlab report``."""
+    return value <= bound + SLACK

@@ -279,10 +279,12 @@ def load_report(path) -> dict:
     field that ``graphonlab report`` reads checked. Required: ``kind`` in
     ``CERTIFIED_ERROR`` (else which error its bound certifies is unknown),
     ``classes`` a list, ``exact`` a bool, and ``cut_error``, ``l1_error``
-    and ``certified_bound`` finite numbers; ``edit`` is optional. A missing
+    and ``certified_bound`` finite numbers. Optional: ``edit``, and the
+    integers ``atom_count`` and ``sauer_bound``, both or neither. A missing
     or mistyped field is an input error."""
     doc = load_json(path)
     edit = doc.get("edit")
+    atoms = [doc[key] for key in ("atom_count", "sauer_bound") if key in doc]
     checks = {f"kind must be one of {', '.join(CERTIFIED_ERROR)}":
                   isinstance(doc.get("kind"), str) and doc["kind"] in CERTIFIED_ERROR,
               "classes must be a list": isinstance(doc.get("classes"), list),
@@ -290,6 +292,8 @@ def load_report(path) -> dict:
               "edit must be an object with finite numeric changed_cells and cell_bound":
                   "edit" not in doc or isinstance(edit, dict) and all(
                       _is_number(edit.get(key)) for key in ("changed_cells", "cell_bound")),
+              "atom_count and sauer_bound must be both integers or both absent":
+                  len(atoms) != 1 and all(type(x) is int for x in atoms),
               **{f"{key} must be a number and finite": _is_number(doc.get(key))
                  for key in ("cut_error", "l1_error", "certified_bound")}}
     for message, ok in checks.items():

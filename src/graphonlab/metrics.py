@@ -58,15 +58,15 @@ class MetricView:
         if not np.array_equal(self.dist, self.dist.T):
             raise InvalidInputError("distance matrix must be symmetric")
         if not isinstance(self, _RowL1View):
-            self.assert_metric(1e-9)
+            self.assert_metric()
 
     @property
     def k(self) -> int:
         return self.mu.size
 
-    def assert_metric(self, tol: float = 1e-9) -> None:
+    def assert_metric(self) -> None:
         worst = triangle_violation(self.dist)
-        if worst > tol:
+        if worst > 1e-9:
             raise InvalidInputError(f"triangle inequality violated by {worst:.3g}")
 
     def to_csv(self) -> str:

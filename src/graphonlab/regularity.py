@@ -32,20 +32,21 @@ from .setsystems import sauer_shelah_bound
 class PartitionReport:
     """Partition plus its measured errors and the certified bound.
 
-    ``exact`` is True if and only if the graphon has k <= 24 steps
-    (``CUT_NORM_MAX_STEPS``): cut_error is then the exact cut norm of
-    W - W_P, and otherwise ``cut_norm_upper``'s proven upper bound, so a
-    passing cut certificate is a proof either way. ``atom_count``/
-    ``sauer_bound`` are filled by the thin variant only.
+    Every report has its bound. ``exact`` is True if and only if the
+    graphon has k <= 24 steps (``CUT_NORM_MAX_STEPS``): cut_error is then
+    the exact cut norm of W - W_P, and otherwise ``cut_norm_upper``'s
+    proven upper bound, so a passing cut certificate is a proof either
+    way. ``net_cost`` is filled by the weak variant only, ``atom_count``/
+    ``sauer_bound`` by the thin variant only.
     """
 
     partition: Partition
     cut_error: float
     l1_error: float
-    centers: list | None = None
+    centers: list
+    certified_bound: float
+    exact: bool
     net_cost: float | None = None
-    certified_bound: float | None = None
-    exact: bool = True
     atom_count: int | None = None
     sauer_bound: int | None = None
 
@@ -57,14 +58,14 @@ class PartitionReport:
     def class_count(self) -> int:
         return self.partition.c
 
-    def certified(self, measured: str = "cut") -> bool:
+    def certified(self, measured: str) -> bool:
         value = self.cut_error if measured == "cut" else self.l1_error
         return within_bound(value, self.certified_bound)
 
     def to_dict(self) -> dict:
         d = {
             "classes": self.partition.classes(),
-            "centers": list(self.centers) if self.centers is not None else None,
+            "centers": list(self.centers),
             "cut_error": self.cut_error,
             "l1_error": self.l1_error,
             "szemeredi_error": None,  # filled by ``partition --szemeredi``
@@ -289,16 +290,15 @@ def equalize(w: StepGraphon, p: Partition, eps: float) -> tuple[StepGraphon, Par
     while seats.sum() < target:
         seats[int(np.argmax(ideal - seats))] += 1
 
-    offsets = np.concatenate(([0], np.cumsum(seats))).astype(int)
-    idx, mu_new, assign = [], [], []
-    for i in range(w.k):
-        cls = p.assign[i]
-        n = int(seats[cls])
-        for r in range(n):
-            idx.append(i)
-            mu_new.append(w.mu[i] / n)
-            assign.append(int(offsets[cls]) + r)
-    new_w = StepGraphon(np.array(mu_new), w.w[np.ix_(idx, idx)])
+    # step i becomes counts[i] contiguous copies of measure mu_i / counts[i];
+    # copy r of a step in class a joins new class offsets[a] + r
+    cls = list(p.assign)
+    counts = seats[cls]
+    idx = np.repeat(np.arange(w.k), counts)
+    first = np.cumsum(counts) - counts
+    offsets = np.cumsum(seats) - seats
+    assign = np.arange(idx.size) + (offsets[cls] - first)[idx]
+    new_w = StepGraphon(np.repeat(w.mu / counts, counts), w.w[np.ix_(idx, idx)])
     new_p = Partition(new_w.mu, assign, int(seats.sum()))
 
     dev = float(np.max(np.abs(new_p.class_measures() - 1.0 / new_p.c)))

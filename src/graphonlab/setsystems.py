@@ -9,9 +9,9 @@ the DE-dimension and the transversal/packing bounds need.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,13 +25,12 @@ ATOM_TOL = 1e-12
 
 VC_MAX_GROUND = 25
 DE_MAX_SETS = 20
-SHATTER_MAX = 25
 TRANSVERSAL_MAX_SETS = 10_000
 
 
 def _to_mask(s: Iterable[int] | int, m: int) -> int:
-    if isinstance(s, (int, np.integer)):
-        mask = int(s)
+    if not isinstance(s, Iterable):  # a bitmask: an integer, not a bool
+        mask = as_integer(s, "set")
         if mask < 0 or mask >> m:
             raise InvalidInputError("bitmask outside the ground set")
         return mask
@@ -95,13 +94,8 @@ class SetFamily:
 def is_shattered(h: SetFamily, s: Iterable[int] | int) -> bool:
     """True iff every subset of s appears as a trace Y & s, Y in h."""
     mask = _to_mask(s, h.m)
-    size = bin(mask).count("1")
-    if size > SHATTER_MAX:
-        raise SizeLimitError(f"shattering check limited to sets of size {SHATTER_MAX}")
-    if not h.sets:
-        return False
     traces = {y & mask for y in h.sets}
-    return len(traces) == (1 << size)
+    return len(traces) == (1 << bin(mask).count("1"))
 
 
 def _largest_closed(n: int, cap: int, holds) -> int:
@@ -204,7 +198,7 @@ def neighborhood_family(w: StepGraphon) -> tuple[SetFamily, list[int]]:
     each distinct row.
     """
     if not w.is_zero_one():
-        raise InvalidInputError("neighborhood family requires a 0-1 stepfunction")
+        raise HypothesisError("neighborhood family requires a 0-1 stepfunction")
     counts = Counter(sum(1 << j for j in range(w.k) if w.w[i, j] == 1.0)
                      for i in range(w.k))
     return SetFamily(w.k, list(counts), w.mu), list(counts.values())

@@ -172,6 +172,14 @@ def test_partition_thin_and_exit_codes(workdir):
     assert code == 3
 
 
+def test_a_host_that_is_not_0_1_exits_3_from_thinness_and_partition_thin(workdir):
+    host = str(workdir / "r5.graphon")
+    fileio.write_graphon(host, gl.zoo.random_stepfunction(5, 1))
+    assert main(["thinness", host]) == 3
+    assert main(["partition", "thin", host, "--eps", "0.25",
+                 "--pattern", str(workdir / "2matching.bigraph")]) == 3
+
+
 def test_partition_thin_edit(workdir):
     out_file = workdir / "edit.json"
     code, _, _ = run_cli("partition", "thin", workdir / "half8.graphon",
@@ -361,6 +369,41 @@ def test_report_subcommand(workdir):
     code, out, _ = run_cli("report", rep_file)
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.fixture
+def thin_report(workdir):
+    fileio.write_graphon(workdir / "half12.graphon", gl.zoo.half_graphon(12))
+    rep = workdir / "rep.json"
+    assert main(["partition", "thin", str(workdir / "half12.graphon"), "--eps", "0.25",
+                 "--pattern", str(workdir / "2matching.bigraph"), "-o", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert (doc["atom_count"], doc["sauer_bound"]) == (12, 299)
+    return rep, doc
+
+
+def test_report_checks_the_atom_certificate(thin_report, capsys):
+    rep, doc = thin_report
+    assert main(["report", str(rep)]) == 0
+    assert "atoms: 12 <= 299\ncertified: PASS" in capsys.readouterr().out
+    # a tampered atom count printed "atoms: 400 <= 299" and exited 0
+    rep.write_text(json.dumps({**doc, "atom_count": 400}))
+    assert main(["report", str(rep)]) == 1
+    assert "atoms: 400 > 299\ncertified: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value", [("sauer_bound", None), ("atom_count", None),
+                                        ("sauer_bound", "299"), ("atom_count", 12.0),
+                                        ("atom_count", True)])
+def test_report_with_an_incomplete_atom_certificate_exit_2(thin_report, capsys, key, value):
+    # value None drops the field: a missing bound printed "atoms: 12 <= None"
+    rep, doc = thin_report
+    doc = {k: v for k, v in doc.items() if k != key}
+    if value is not None:
+        doc[key] = value
+    rep.write_text(json.dumps(doc))
+    assert main(["report", str(rep)]) == 2
+    assert "atom_count and sauer_bound must be " in capsys.readouterr().err
 
 
 def test_report_of_a_json_array_exit_2(workdir, capsys):

@@ -278,7 +278,7 @@ def test_metrics_are_metrics(monkeypatch):
     assert sweeps == []
     assert max(view.k for view in views) == 100
     for view in views:
-        view.assert_metric(1e-9)
+        view.assert_metric()
     assert len(sweeps) == len(views)
 
 

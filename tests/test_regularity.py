@@ -472,6 +472,13 @@ def test_report_serialization_shape(k2_graphon):
     assert json.loads(text)["exact"] is True
 
 
+def test_a_report_needs_its_bound():
+    # a report without a bound read as certified; no construction builds one
+    p = gl.Partition.trivial(np.array([1.0]))
+    with pytest.raises(TypeError):
+        gl.PartitionReport(partition=p, cut_error=0.0, l1_error=0.0)
+
+
 def test_theorem_voronoi_both_directions_small():
     # (a) net -> partition with cut <= 8 sqrt(cost); (b) partition -> net
     # with cost <= 4 cut; both at desk scale

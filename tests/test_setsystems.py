@@ -153,7 +153,7 @@ def test_neighborhood_family_examples(k2_graphon):
     zero = gl.StepGraphon(np.array([0.5, 0.5]), np.zeros((2, 2)))
     fam, counts = gl.neighborhood_family(zero)
     assert fam.sets == (0,) and counts == [2]
-    with pytest.raises(gl.InvalidInputError):
+    with pytest.raises(gl.HypothesisError):
         gl.neighborhood_family(gl.StepGraphon(np.array([1.0]), np.array([[0.5]])))
 
 
@@ -294,11 +294,17 @@ def test_tau_star_bound_on_weighted_corpus():
         assert tau <= 8 * k * (1 / eps) * np.log(1 / eps)
 
 
-def test_shatter_size_guard():
-    fam = gl.SetFamily(26, [])
-    # the 26-element ground set itself is over the shattering guard
-    with pytest.raises(gl.SizeLimitError):
-        gl.is_shattered(fam, list(range(26)))
+def test_shatter_answers_at_any_size():
+    # |h| traces against 2^|s|, a Python int: no work grows with |s|
+    assert not gl.is_shattered(gl.SetFamily(30, [range(30), []]), range(30))
+    assert not gl.is_shattered(gl.SetFamily(26, []), list(range(26)))
+
+
+@pytest.mark.parametrize("member", [True, False, np.True_, 2.0, None])
+def test_a_set_member_is_elements_or_an_integer_bitmask(member):
+    # a bool or a float is no bitmask: True was stored as the mask 1
+    with pytest.raises(gl.InvalidInputError, match="set must be an integer"):
+        gl.SetFamily(2, [member])
 
 
 def test_thinness_witness_argument_errors():
@@ -308,5 +314,5 @@ def test_thinness_witness_argument_errors():
     with pytest.raises(gl.InvalidInputError):
         gl.thinness_witness(h, 7)
     grey = gl.StepGraphon(np.array([1.0]), np.array([[0.5]]))
-    with pytest.raises(gl.InvalidInputError):
+    with pytest.raises(gl.HypothesisError):
         gl.thinness_witness(grey, 2)
