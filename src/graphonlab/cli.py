@@ -7,6 +7,10 @@ or a bound ``report`` re-checks), 2 input error, 3 hypothesis-check failure
 other exception; its traceback and message go to stderr). All output is
 deterministic given flags and seed: fixed key order, 17-digit floats.
 
+Each command, and each ``partition`` variant and ``zoo`` generator, is a
+parser that declares only the flags it reads, so argparse rejects any other
+flag or a missing required one: ``SystemExit(2)`` out of ``main``.
+
 At module level this imports only the standard library and ``errors``.
 Each command imports the modules it calls when it runs, so a process
 loads only the layers its command uses: ``report`` reads JSON and compares
@@ -52,12 +56,10 @@ def cmd_density(args) -> int:
         if not (0.0 <= p <= 1.0):
             raise InvalidInputError("--constant must lie in [0, 1]")
         host_graphon = StepGraphon(np.array([1.0]), np.array([[p]]))
-    elif args.graphon:
+    elif args.bigraphon is None:
         host_graphon = fileio.load_graphon(args.graphon)
-    elif args.bigraphon:
-        host_bigraphon = fileio.load_bigraphon(args.bigraphon)
     else:
-        raise InvalidInputError("need --graphon, --bigraphon or --constant")
+        host_bigraphon = fileio.load_bigraphon(args.bigraphon)
 
     pattern = _load_pattern(args.pattern)
     if isinstance(pattern, Graph):
@@ -80,16 +82,10 @@ def cmd_partition(args) -> int:
     w = fileio.load_graphon(args.graphon)
     extra = {}
     if args.variant == "weak":
-        if args.eps_net is None:
-            raise InvalidInputError("weak mode needs --eps-net")
         report = regularity.weak_partition_via_net(w, args.eps_net)
     elif args.variant == "ultra":
-        if args.eps is None:
-            raise InvalidInputError("ultra mode needs --eps")
         report = regularity.ultra_strong_partition(w, args.eps)
     else:
-        if args.eps is None or args.pattern is None:
-            raise InvalidInputError("thin mode needs --eps and --pattern")
         pattern = _load_pattern(args.pattern)
         if isinstance(pattern, Graph):
             raise InvalidInputError("thin mode excludes a bigraph pattern (.bigraph)")
@@ -116,6 +112,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.greedy and not args.packing:
+        raise InvalidInputError("--greedy needs --packing")
     from . import fileio, metrics
 
     w = fileio.load_graphon(args.graphon)
@@ -180,15 +178,11 @@ def cmd_zoo(args) -> int:
     from . import fileio, zoo
     from .core import StepGraphon
 
-    if not args.output:
-        raise InvalidInputError("zoo generators need -o/--output")
     kind = args.generator
     if kind == "sphere":
         w, _ = zoo.sphere_graphon(args.dim, args.n, args.seed)
         fileio.write_graphon(args.output, w)
     elif kind == "metric":
-        if not args.dist:
-            raise InvalidInputError("zoo metric needs --dist")
         mu = np.atleast_1d(fileio.load_csv(args.mu).squeeze()) if args.mu else None
         fileio.write_graphon(args.output, zoo.metric_graphon(fileio.load_csv(args.dist), mu))
     elif kind == "half":
@@ -201,7 +195,7 @@ def cmd_zoo(args) -> int:
             fileio.write_bigraphon(args.output, g)
     elif kind == "counterexample":
         fileio.write_graphon(args.output, zoo.counterexample_U())
-    else:  # "random"; argparse's choices admit no other generator
+    else:  # "random"; argparse admits no other generator
         fileio.write_graphon(args.output,
                              zoo.random_stepfunction(args.k, args.seed, args.zero_one))
     return 0
@@ -241,34 +235,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="pattern densities in a (bi)graphon")
-    p.add_argument("--graphon")
-    p.add_argument("--bigraphon")
-    p.add_argument("--constant", type=float)
+    host = p.add_mutually_exclusive_group(required=True)
+    host.add_argument("--graphon")
+    host.add_argument("--bigraphon")
+    host.add_argument("--constant", type=float)
     p.add_argument("--pattern", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("partition", help="regularity partitions")
-    p.add_argument("variant", choices=["weak", "ultra", "thin"])
-    p.add_argument("graphon")
-    p.add_argument("--eps-net", type=float, dest="eps_net")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--pattern")
-    p.add_argument("--edit", action="store_true",
-                   help="thin mode: also emit the blow-up edit approximation")
-    p.add_argument("--szemeredi", action="store_true",
-                   help="also fill the exact Szemeredi error (k <= 24)")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_partition)
+    variants = p.add_subparsers(dest="variant", required=True)
+    for variant, eps in (("weak", "--eps-net"), ("ultra", "--eps"), ("thin", "--eps")):
+        v = variants.add_parser(variant)
+        v.add_argument("graphon")
+        v.add_argument(eps, type=float, required=True)
+        if variant == "thin":
+            v.add_argument("--pattern", required=True)
+            v.add_argument("--edit", action="store_true", help="also emit the edit approximation")
+        v.add_argument("--szemeredi", action="store_true", help="exact Szemeredi error, k <= 24")
+        v.add_argument("-o", "--output")
 
     p = sub.add_parser("metrics", help="neighborhood / similarity distance matrix")
     p.add_argument("graphon")
     p.add_argument("--similarity", action="store_true")
-    p.add_argument("--packing", metavar="EPS,EPS,...",
-                   help="emit the packing table and dimension slope instead")
-    p.add_argument("--greedy", action="store_true",
-                   help="greedy packing lower bounds instead of exact")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--packing", metavar="EPS,EPS,...", help="emit the packing table, slope")
+    table.add_argument("--format", choices=["csv", "json"], help="default csv")
+    p.add_argument("--greedy", action="store_true", help="greedy lower bounds, with --packing")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_metrics)
 
@@ -288,19 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thinness)
 
     p = sub.add_parser("zoo", help="example graphon generators")
-    p.add_argument("generator", choices=["sphere", "metric", "half", "binary",
-                                         "counterexample", "random"])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--variant", choices=["sym", "asym"], default="sym")
-    p.add_argument("--dist")
-    p.add_argument("--mu")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zero-one", action="store_true", dest="zero_one")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_zoo)
+    generators = p.add_subparsers(dest="generator", required=True)
+    g = {}
+    for name in ("sphere", "metric", "half", "binary", "counterexample", "random"):
+        g[name] = generators.add_parser(name)
+        g[name].add_argument("-o", "--output", required=True)
+    g["sphere"].add_argument("--dim", type=int, default=2)
+    for name in ("sphere", "half"):
+        g[name].add_argument("--n", type=int, default=8)
+    g["metric"].add_argument("--dist", required=True)
+    g["metric"].add_argument("--mu")
+    g["binary"].add_argument("--depth", type=int, default=3)
+    g["binary"].add_argument("--variant", choices=["sym", "asym"], default="sym")
+    g["random"].add_argument("--k", type=int, default=8)
+    for name in ("sphere", "random"):
+        g[name].add_argument("--seed", type=int, default=0)
+    g["random"].add_argument("--zero-one", action="store_true", dest="zero_one")
 
     p = sub.add_parser("report", help="summarize and re-check a partition report")
     p.add_argument("report")

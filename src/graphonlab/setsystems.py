@@ -29,13 +29,15 @@ TRANSVERSAL_MAX_SETS = 10_000
 
 
 def _to_mask(s: Iterable[int] | int, m: int) -> int:
-    if not isinstance(s, Iterable):  # a bitmask: an integer, not a bool
+    try:
+        members = iter(s)
+    except TypeError:  # a bitmask: an integer (a 0-d integer array too), not a bool
         mask = as_integer(s, "set")
         if mask < 0 or mask >> m:
             raise InvalidInputError("bitmask outside the ground set")
         return mask
     mask = 0
-    for e in s:
+    for e in members:
         e = as_integer(e, "element")
         if not (0 <= e < m):
             raise InvalidInputError(f"element {e} outside ground set of size {m}")

@@ -49,7 +49,7 @@ def metric_graphon(dist, mu=None) -> StepGraphon:
     sweep), viewed as a graphon (W = d). The identity map is contractive
     from d to the neighborhood distance: r_W <= d entrywise.
     """
-    dist = np.array(dist, dtype=float, ndmin=2)
+    dist = np.array(dist, ndmin=2)
     if dist.size == 0:
         raise InvalidInputError("distance matrix must be nonempty")
     view = MetricView(np.full(len(dist), 1.0 / len(dist)) if mu is None else mu, dist)

@@ -358,7 +358,12 @@ def test_zoo_metric_malformed_csv_exit_2(workdir, capsys, dist, mu):
         if mu != "missing":
             (workdir / "mu.csv").write_text(mu)
         args += ["--mu", str(workdir / "mu.csv")]
-    assert main(args) == 2
+    if dist is None:  # argparse rejects the missing required flag
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+    else:
+        assert main(args) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -475,6 +480,30 @@ def test_partition_heuristic_flag_is_gone(workdir):
         main(["partition", "weak", str(workdir / "half8.graphon"), "--eps-net", "0.05",
               "--heuristic"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["zoo", "random", "--n", "20"],
+    ["zoo", "half", "--k", "20"],
+    ["zoo", "counterexample", "--seed", "3"],
+    ["partition", "weak", "half8.graphon", "--eps-net", "0.05", "--edit"],
+    ["partition", "ultra", "half8.graphon", "--eps", "0.3", "--eps-net", "0.1"],
+    ["partition", "weak", "half8.graphon", "--eps-net", "0.05", "--pattern", "2matching.bigraph"],
+    ["density", "--graphon", "half8.graphon", "--bigraphon", "b.bigraphon", "--pattern", "k3.graph"],
+    ["metrics", "half8.graphon", "--packing", "0.5,0.25", "--format", "json"],
+    ["metrics", "half8.graphon", "--greedy"],
+], ids=["zoo-random-n", "zoo-half-k", "zoo-counterexample-seed", "weak-edit", "ultra-eps-net",
+        "weak-pattern", "density-two-hosts", "metrics-packing-format", "metrics-greedy"])
+def test_a_flag_the_command_does_not_read_exit_2(workdir, capsys, monkeypatch, args):
+    # each names a flag, or a pair of flags, that the command would not read
+    monkeypatch.chdir(workdir)
+    try:
+        code = main([*args, "-o", "out"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not (workdir / "out").exists()
 
 
 def test_size_guard_exit_4(workdir):

@@ -891,3 +891,50 @@ def test_blow_up_density_matches_hom_counting():
         f = random_graph(int(rng(seed).integers(2, 5)), seed=400 + seed)
         expected = brute_hom_count(f, blown) / blown.n ** f.n
         assert abs(gl.density(f, w) - expected) <= 1e-12
+
+
+def _input_check_cases():
+    half4 = gl.zoo.half_graphon(4)
+    view = gl.neighborhood_metric(half4)
+    diag = gl.StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
+    anti = gl.StepGraphon([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    bad, big = gl.InvalidInputError, gl.SizeLimitError
+    return {
+        "kernel-not-square": (lambda: gl.StepKernel([0.5, 0.5], np.zeros((2, 3))), bad, "2x2"),
+        "bigraphon-shape": (lambda: gl.StepBigraphon([0.5, 0.5], [1.0], np.zeros((2, 2))),
+                            bad, "shape"),
+        "bigraphon-above-1": (lambda: gl.StepBigraphon([1.0], [1.0], [[1.5]]), bad, r"\[0, 1\]"),
+        "graph-negative": (lambda: gl.Graph(-1), bad, "nonnegative"),
+        "bigraph-negative": (lambda: gl.Bigraph(-1, 2), bad, "nonnegative"),
+        "partition-length": (lambda: gl.Partition([0.5, 0.5], [0]), bad, "length"),
+        "partition-no-class": (lambda: gl.Partition([1.0], [0], c=0), bad, "at least one"),
+        "partition-class-id": (lambda: gl.Partition([0.5, 0.5], [0, 2], c=2), bad, "out of range"),
+        "product-not-commuting": (lambda: gl.operator_product(diag, anti), bad, "symmetric"),
+        "split-one-part": (lambda: gl.split_step(half4, 0, 1), bad, "at least 2"),
+        "blow-up-size-0": (lambda: gl.blow_up(gl.Graph(2, [(0, 1)]), [1, 0], [False, False]),
+                           bad, "positive"),
+        "rooted-not-a-node": (lambda: gl.partial_density(gl.Graph(2, [(0, 1)]), [5], {5: 0},
+                                                         half4), bad, "not a pattern node"),
+        "greedy-eps-0": (lambda: gl.greedy_packing(view, 0.0), bad, "positive"),
+        "packing-mode": (lambda: gl.packing_number(view, 0.5, mode="fast"), bad, "mode"),
+        "packing-grid": (lambda: gl.packing_dimension_estimate(view, [1.5, 0.5]), bad, r"\(0, 1\)"),
+        "voronoi-range": (lambda: gl.voronoi_partition(view, [0, 4]), bad, "out of range"),
+        "voronoi-duplicate": (lambda: gl.voronoi_partition(view, [1, 1]), bad, "duplicate"),
+        "bitmask-outside": (lambda: gl.SetFamily(2, [4]), bad, "bitmask outside"),
+        "element-outside": (lambda: gl.SetFamily(2, [[2]]), bad, "element 2 outside"),
+        "ground-negative": (lambda: gl.SetFamily(-1, []), bad, "nonnegative"),
+        "weights-size": (lambda: gl.SetFamily(2, [[0]], weights=[1.0]), bad, "one entry"),
+        "weights-negative": (lambda: gl.SetFamily(2, [[0]], weights=[1.5, -0.5]), bad,
+                             "nonnegative"),
+        "transversal-guard": (lambda: gl.transversal_number(gl.SetFamily(26, [[0]])), big,
+                              "exact-size"),
+        "binary-depth-0": (lambda: gl.zoo.binary_graphon(0), bad, "at least 1"),
+        "random-kernel-k-0": (lambda: gl.zoo.random_kernel(0, 0), bad, "at least one"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_input_check_cases()))
+def test_input_checks_raise_their_error_class(case):
+    call, error, message = _input_check_cases()[case]
+    with pytest.raises(error, match=message):
+        call()

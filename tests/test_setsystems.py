@@ -300,7 +300,7 @@ def test_shatter_answers_at_any_size():
     assert not gl.is_shattered(gl.SetFamily(26, []), list(range(26)))
 
 
-@pytest.mark.parametrize("member", [True, False, np.True_, 2.0, None])
+@pytest.mark.parametrize("member", [True, False, np.True_, 2.0, None, np.array(2.5)])
 def test_a_set_member_is_elements_or_an_integer_bitmask(member):
     # a bool or a float is no bitmask: True was stored as the mask 1
     with pytest.raises(gl.InvalidInputError, match="set must be an integer"):
@@ -316,3 +316,7 @@ def test_thinness_witness_argument_errors():
     grey = gl.StepGraphon(np.array([1.0]), np.array([[0.5]]))
     with pytest.raises(gl.HypothesisError):
         gl.thinness_witness(grey, 2)
+
+
+def test_a_0d_integer_array_member_is_a_bitmask():
+    assert gl.SetFamily(2, [np.array(3)]).sets == (3,)

@@ -65,7 +65,10 @@ def test_metric_graphon_validation():
     (np.array([[0.1, 0.5], [0.5, 0.0]]), None),
     (np.zeros((0, 0)), None),
     (np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(3, 1 / 3)),
-], ids=["non-square", "asymmetric", "negative", "diagonal", "empty", "mu-length"])
+    ([["0", "0.5"], ["0.5", "0"]], None),
+    (np.array([[0.0, 0.5], [0.5, 0.0]]) + 0j, None),
+], ids=["non-square", "asymmetric", "negative", "diagonal", "empty", "mu-length", "strings",
+        "complex"])
 def test_metric_graphon_rejects_malformed_input(dist, mu):
     with pytest.raises(gl.InvalidInputError):
         metric_graphon(dist, mu)
