@@ -8,8 +8,8 @@ other exception; its traceback and message go to stderr). All output is
 deterministic given flags and seed: fixed key order, 17-digit floats.
 
 Each command, and each ``partition`` variant and ``zoo`` generator, is a
-parser that declares only the flags it reads, so argparse rejects any other
-flag or a missing required one: ``SystemExit(2)`` out of ``main``.
+parser that declares only the flags it reads; any other flag, or a missing
+required one, is that parser's usage error: ``SystemExit(2)`` out of ``main``.
 
 At module level this imports only the standard library and ``errors``.
 Each command imports the modules it calls when it runs, so a process
@@ -95,7 +95,7 @@ def cmd_partition(args) -> int:
             extra = {"edit": {
                 "edits": approx.edits,
                 "changed_cells": approx.changed_cells,
-                "cell_bound": args.eps * w.k * w.k,
+                "cell_bound": approx.cell_bound,
                 "sizes": list(approx.sizes),
                 "internal": list(approx.internal),
                 "quotient_edges": sorted(approx.quotient.edges),
@@ -113,7 +113,7 @@ def cmd_partition(args) -> int:
 
 def cmd_metrics(args) -> int:
     if args.greedy and not args.packing:
-        raise InvalidInputError("--greedy needs --packing")
+        args.parser.error("--greedy needs --packing")
     from . import fileio, metrics
 
     w = fileio.load_graphon(args.graphon)
@@ -241,13 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     host.add_argument("--constant", type=float)
     p.add_argument("--pattern", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_density)
+    p.set_defaults(func=cmd_density, parser=p)
 
     p = sub.add_parser("partition", help="regularity partitions")
     p.set_defaults(func=cmd_partition)
     variants = p.add_subparsers(dest="variant", required=True)
     for variant, eps in (("weak", "--eps-net"), ("ultra", "--eps"), ("thin", "--eps")):
         v = variants.add_parser(variant)
+        v.set_defaults(parser=v)
         v.add_argument("graphon")
         v.add_argument(eps, type=float, required=True)
         if variant == "thin":
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=["csv", "json"], help="default csv")
     p.add_argument("--greedy", action="store_true", help="greedy lower bounds, with --packing")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, parser=p)
 
     p = sub.add_parser("vc", help="VC and related dimensions of a set family")
     p.add_argument("--family", required=True)
@@ -272,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", action="store_true")
     p.add_argument("--sym-diff", action="store_true", dest="sym_diff")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_vc)
+    p.set_defaults(func=cmd_vc, parser=p)
 
     p = sub.add_parser("thinness", help="DE-dimension and exclusion witness")
     p.add_argument("graphon")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--witness-out", dest="witness_out")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_thinness)
+    p.set_defaults(func=cmd_thinness, parser=p)
 
     p = sub.add_parser("zoo", help="example graphon generators")
     p.set_defaults(func=cmd_zoo)
@@ -287,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = {}
     for name in ("sphere", "metric", "half", "binary", "counterexample", "random"):
         g[name] = generators.add_parser(name)
+        g[name].set_defaults(parser=g[name])
         g[name].add_argument("-o", "--output", required=True)
     g["sphere"].add_argument("--dim", type=int, default=2)
     for name in ("sphere", "half"):
@@ -303,12 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize and re-check a partition report")
     p.add_argument("report")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except (InvalidInputError, BasisMismatchError) as e:

@@ -2,9 +2,9 @@
 
 Weak partitions come from average nets in the similarity metric via
 Voronoi cells; ultra-strong (L1) partitions from a greedy ball cover of
-the neighborhood metric refined by value bands; thin 0-1 graphons get the
-sharper Boolean-atom refinement, which also drives the bounded-edit
-blow-up approximation of pattern-free graphs.
+the neighborhood metric refined by value bands; a thin partition is the
+ultra-strong partition, whose atoms Sauer-Shelah bounds, and it drives
+the bounded-edit blow-up approximation of pattern-free graphs.
 
 Every report carries both the certified bound the construction promises
 and the measured error (the cut norm exactly up to 24 steps, a proven upper
@@ -14,7 +14,7 @@ bound above), so callers can assert the guarantee, not the luck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,22 +97,15 @@ def partition_cut_error(w: StepGraphon, p: Partition) -> float:
     return _derived(w, (p, "cut"), lambda: cut_norm(_residual(w, p)[1]))
 
 
-def _measured_report(w: StepGraphon, part: Partition, check_l1: bool = False,
-                     **fields) -> PartitionReport:
+def _measured_report(w: StepGraphon, part: Partition, **fields) -> PartitionReport:
     """Report of ``part`` with the errors of W - W_P measured: the L1 norm,
     and the one decision on how the cut norm is measured: exactly when
-    k <= ``CUT_NORM_MAX_STEPS``, else by ``cut_norm_upper``'s proven upper
-    bound. With ``check_l1`` an L1 error above the certified bound
-    raises."""
+    k <= ``CUT_NORM_MAX_STEPS``, else by ``cut_norm_upper``'s proven upper bound."""
     _, diff = _residual(w, part)
     exact = diff.k <= CUT_NORM_MAX_STEPS
     cut = partition_cut_error(w, part) if exact else cut_norm_upper(diff)
-    report = PartitionReport(partition=part, cut_error=cut, l1_error=l1_norm(diff),
-                             exact=exact, **fields)
-    if check_l1 and not report.certified("l1"):
-        raise CertificationError(f"L1 error {report.l1_error:.6g} exceeded the "
-                                 f"certified bound {report.certified_bound:.6g}")
-    return report
+    return PartitionReport(partition=part, cut_error=cut, l1_error=l1_norm(diff),
+                           exact=exact, **fields)
 
 
 def weak_partition_via_net(w: StepGraphon, eps_net: float) -> PartitionReport:
@@ -196,41 +189,35 @@ def net_from_partition(w: StepGraphon, p: Partition) -> tuple[list[int], float]:
     return centers, cost
 
 
-def _cover_and_refine(w: StepGraphon, eps: float, label) -> tuple[list[int], Partition, set]:
-    """Cover (J, r_W) by balls of radius eps/4 around the greedy packing's
-    centers, then split each Voronoi cell by a per-step label of the
-    center rows: ``label`` maps the m x k center rows to an m x k array
-    whose column z labels step z. Classes are numbered in order of first
-    appearance. Returns the centers, the partition and the set of labels
-    seen."""
-    rw = neighborhood_metric(w)
-    centers = greedy_packing(rw, eps / 4.0)
-    cover = voronoi_partition(rw, centers)
-    labels = [tuple(col) for col in label(w.w[centers]).T.tolist()]
-    keys = {}
-    assign = [keys.setdefault(key, len(keys)) for key in zip(cover.assign, labels)]
-    return centers, Partition(w.mu, assign, len(keys)), set(labels)
-
-
 def ultra_strong_partition(w: StepGraphon, eps: float) -> PartitionReport:
     """Ultra-strong (L1) regularity partition with error eps.
 
-    Covers (J, r_W) by balls of radius eps/4 around maximal-packing
-    centers, then refines by value bands of the center rows (ceil(1/eps)
-    bands at multiples of eps). The class count is at most
-    m ceil(1/eps)^m for m centers; the L1 error of the aggregated
-    stepfunction is measured exactly, and above eps it raises
+    Covers (J, r_W) by balls of radius eps/4 around the greedy packing's
+    centers, then splits each Voronoi cell by the value bands of the
+    center rows (ceil(1/eps) bands at multiples of eps). The class count
+    is at most m ceil(1/eps)^m for m centers; the L1 error of the
+    aggregated stepfunction is measured exactly, and above eps it raises
     ``CertificationError``.
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
+    rw = neighborhood_metric(w)
+    centers = greedy_packing(rw, eps / 4.0)
+    cover = voronoi_partition(rw, centers)
     nbands = math.ceil(1.0 / eps)
-    centers, part, _ = _cover_and_refine(
-        w, eps, lambda rows: np.minimum((rows / eps).astype(int), nbands - 1))
+    bands = np.minimum((w.w[centers] / eps).astype(int), nbands - 1)
+    keys = {}
+    assign = [keys.setdefault(key, len(keys))
+              for key in zip(cover.assign, map(tuple, bands.T.tolist()))]
     m = len(centers)
-    if part.c > m * nbands ** m:
+    if len(keys) > m * nbands ** m:
         raise CertificationError("class count exceeded m ceil(1/eps)^m")
-    return _measured_report(w, part, check_l1=True, centers=centers, certified_bound=eps)
+    report = _measured_report(w, Partition(w.mu, assign, len(keys)), centers=centers,
+                              certified_bound=eps)
+    if not report.certified("l1"):
+        raise CertificationError(f"L1 error {report.l1_error:.6g} exceeded the "
+                                 f"certified bound {report.certified_bound:.6g}")
+    return report
 
 
 def thin_ultra_partition(w: StepGraphon, f, eps: float) -> PartitionReport:
@@ -238,11 +225,11 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float) -> PartitionReport:
 
     Verifies t^b_ind(f, W) = 0 exactly through ``bigraph_density``, the
     check ``thinness_witness`` makes, so any witness it verifies is
-    accepted; covers (J, r_W) by eps/4 balls and intersects the cells with
-    the positive-measure atoms of the Boolean algebra generated by the
-    center-row supports. The atom count obeys the Sauer-Shelah certificate
-    sum_{i < |V(f)|} C(m, i), and the aggregated L1 error is at most eps
-    (the ball cover alone gives eps/2).
+    accepted. The partition is ``ultra_strong_partition``'s, whose bands
+    split each cell by the center-row supports on 0-1 values; its atoms
+    (distinct center-row columns) obey the Sauer-Shelah certificate
+    sum_{i < |V(f)|} C(m, i). The L1 error is at most eps (the ball cover
+    alone gives eps/2).
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
@@ -252,13 +239,13 @@ def thin_ultra_partition(w: StepGraphon, f, eps: float) -> PartitionReport:
     if excluded != 0.0:
         raise HypothesisError(
             f"pattern is not excluded: t^b_ind = {excluded:.6g} > 0")
-    centers, part, atoms = _cover_and_refine(w, eps, lambda rows: rows == 1.0)
-    bound = sauer_shelah_bound(len(centers), f.n1 + f.n2 - 1)
-    if len(atoms) > bound:
+    report = ultra_strong_partition(w, eps)
+    atoms = len(set(map(tuple, w.w[report.centers].T.tolist())))
+    bound = sauer_shelah_bound(len(report.centers), f.n1 + f.n2 - 1)
+    if atoms > bound:
         raise CertificationError(
-            f"atom count {len(atoms)} exceeded the Sauer-Shelah bound {bound}")
-    return _measured_report(w, part, check_l1=True, centers=centers,
-                            certified_bound=eps, atom_count=len(atoms), sauer_bound=bound)
+            f"atom count {atoms} exceeded the Sauer-Shelah bound {bound}")
+    return replace(report, atom_count=atoms, sauer_bound=bound)
 
 
 def equalize(w: StepGraphon, p: Partition, eps: float) -> tuple[StepGraphon, Partition]:
@@ -318,8 +305,8 @@ class BlowupApprox:
     """Bounded-edit blow-up approximation of a pattern-free 0-1 graphon.
 
     ``edits`` counts changed unordered node pairs; ``changed_cells`` counts
-    changed ordered matrix cells including the diagonal (this is what the
-    eps n^2 guarantee bounds).
+    changed ordered matrix cells including the diagonal, which the
+    guarantee bounds by ``cell_bound`` = eps n^2.
     """
 
     graph: Graph
@@ -328,6 +315,7 @@ class BlowupApprox:
     internal: tuple
     edits: int
     changed_cells: int
+    cell_bound: float
     report: PartitionReport
 
 
@@ -354,17 +342,16 @@ def edit_blowup_approx(g: Graph | StepGraphon, f, eps: float) -> BlowupApprox:
 
     report = thin_ultra_partition(w0, f, eps)
     part = report.partition
-    assign = np.array(part.assign, dtype=int)
-    wp, _ = _residual(w0, part)
+    wp, _ = _residual(w0, part)  # W_P is constant on class blocks
+    expanded = (wp.w >= 0.5).astype(float)
     reps = [cl[0] for cl in part.classes()]
-    block = wp.w[np.ix_(reps, reps)]
-    rounded = (block >= 0.5).astype(float)
-    expanded = rounded[np.ix_(assign, assign)]
+    rounded = expanded[np.ix_(reps, reps)]
 
     changed = int(np.sum(w0.w != expanded))
-    if changed > eps * n * n:
+    cell_bound = eps * n * n
+    if changed > cell_bound:
         raise CertificationError(
-            f"{changed} changed cells exceed eps n^2 = {eps * n * n:.6g}")
+            f"{changed} changed cells exceed eps n^2 = {cell_bound:.6g}")
     edits = int(np.sum(np.triu(w0.w != expanded, k=1)))
 
     sizes = tuple(len(cl) for cl in part.classes())
@@ -375,4 +362,4 @@ def edit_blowup_approx(g: Graph | StepGraphon, f, eps: float) -> BlowupApprox:
                        if expanded[i, j] == 1.0])
     return BlowupApprox(graph=edited, quotient=quotient, sizes=sizes,
                         internal=internal, edits=edits, changed_cells=changed,
-                        report=report)
+                        cell_bound=cell_bound, report=report)

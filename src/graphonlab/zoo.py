@@ -49,7 +49,10 @@ def metric_graphon(dist, mu=None) -> StepGraphon:
     sweep), viewed as a graphon (W = d). The identity map is contractive
     from d to the neighborhood distance: r_W <= d entrywise.
     """
-    dist = np.array(dist, ndmin=2)
+    try:
+        dist = np.array(dist, ndmin=2)
+    except ValueError:  # ragged rows
+        raise InvalidInputError("distance matrix rows must have equal lengths")
     if dist.size == 0:
         raise InvalidInputError("distance matrix must be nonempty")
     view = MetricView(np.full(len(dist), 1.0 / len(dist)) if mu is None else mu, dist)

@@ -1,6 +1,6 @@
 """Source layout rules, checked on the syntax tree of ``src/graphonlab``.
 
-Nine rules keep the package's design honest:
+Ten rules keep the package's design honest:
 
 - a private name (``_name``) is imported from another graphonlab module
   only if it is one of ``SHARED_PRIVATE``: ``_frozen_array`` and
@@ -17,6 +17,10 @@ Nine rules keep the package's design honest:
   how a report measures its cut error: exactly up to 24 steps, by the
   bound above 24. So no check reads the bound where the exact value
   exists;
+- ``greedy_packing`` is called in ``regularity`` once, in
+  ``ultra_strong_partition``: the ball cover of the neighborhood metric is
+  built in one place, and a thin partition is the ultra-strong partition
+  with its Sauer-Shelah certificate added;
 - ``einsum`` is called only in ``densities.partial_density``: a graph
   density is one planned einsum, and a bigraph density is a broadcast
   product, so each pattern kind has one contraction;
@@ -55,6 +59,9 @@ SOURCES = sorted(Path(graphonlab.__file__).parent.glob("*.py"))
 
 #: (module, enclosing function) of each allowed use of the cut norm's upper bound
 UPPER_BOUND_ROUTES = {("regularity.py", "_measured_report")}
+
+#: enclosing functions of the ``greedy_packing`` calls in ``regularity.py``
+BALL_COVER_CALLS = ["ultra_strong_partition"]
 
 #: (module, enclosing function) of the one einsum call
 EINSUM_CALLERS = {("densities.py", "partial_density")}
@@ -118,6 +125,12 @@ def upper_bound_routes(source: str) -> list[str | None]:
     passed on (its definition and imports are not uses)."""
     return [function for node, function in nodes_in_functions(source)
             if _called_name(node) == "cut_norm_upper"]
+
+
+def packing_calls(source: str) -> list[str | None]:
+    """The enclosing function of each ``greedy_packing`` call."""
+    return [function for node, function in nodes_in_functions(source)
+            if isinstance(node, ast.Call) and _called_name(node.func) == "greedy_packing"]
 
 
 def einsum_calls(source: str) -> list[str | None]:
@@ -204,6 +217,11 @@ def test_the_heuristic_cut_norm_is_reached_only_by_reports(path):
     assert routes <= UPPER_BOUND_ROUTES
 
 
+def test_the_ball_cover_is_built_once():
+    regularity = next(p for p in SOURCES if p.name == "regularity.py")
+    assert packing_calls(regularity.read_text()) == BALL_COVER_CALLS
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_einsum_is_called_only_for_graph_densities(path):
     assert {(path.name, function) for function in einsum_calls(path.read_text())} <= EINSUM_CALLERS
@@ -259,6 +277,13 @@ def test_the_checks_see_violations():
         "def check(r):\n"
         "    return core.cut_norm_upper(r) <= cut_norm(r) + _derived(w, k, cut_norm_upper)\n"
         ) == ["_measured_report", "check", "check"]
+    assert packing_calls(
+        "from .metrics import greedy_packing\n"
+        "def ultra_strong_partition(w, eps):\n"
+        "    return greedy_packing(rw, eps / 4.0)\n"
+        "def _cover_and_refine(w, eps, label):\n"
+        "    centers = metrics.greedy_packing(rw, eps / 4.0)\n"
+        "cover = greedy_packing\n") == ["ultra_strong_partition", "_cover_and_refine"]
     assert einsum_calls(
         "def partial_density(f, w):\n"
         "    return np.einsum('ab,a,b->', w.w, w.mu, w.mu)\n"

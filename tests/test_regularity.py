@@ -361,6 +361,27 @@ def test_thin_ultra_random_chain_hosts():
             assert rep.atom_count <= rep.sauer_bound
 
 
+def test_thin_partition_is_the_ultra_strong_partition():
+    # on 0-1 values the bands send 0 and 1 apart, so the thin report is the
+    # ultra-strong one plus the atoms of the center rows
+    m2 = gl.Bigraph(2, 2, [(0, 0), (1, 1)])
+    hosts = [(gl.zoo.half_graphon(n), m2) for n in range(4, 41)]
+    for seed in range(12):
+        w = gl.zoo.random_stepfunction(3 + seed % 6, seed=900 + seed, zero_one=True)
+        witness = gl.thinness_witness(w, 3)
+        if witness is not None:
+            hosts.append((w, witness))
+    assert len(hosts) > 37
+    for w, f in hosts:
+        for eps in (0.5, 0.3, 0.25, 0.1, 0.05):
+            thin = gl.thin_ultra_partition(w, f, eps)
+            doc = thin.to_dict()
+            atoms = doc.pop("atom_count")
+            del doc["sauer_bound"]
+            assert doc == gl.ultra_strong_partition(w, eps).to_dict()
+            assert atoms == np.unique(w.w[thin.centers], axis=1).shape[1]
+
+
 def test_equalize_unchanged_cases():
     w = gl.zoo.random_stepfunction(4, seed=5)
     p = gl.Partition(w.mu, [0, 0, 1, 1], 2)  # classes already equal

@@ -67,8 +67,9 @@ def test_metric_graphon_validation():
     (np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(3, 1 / 3)),
     ([["0", "0.5"], ["0.5", "0"]], None),
     (np.array([[0.0, 0.5], [0.5, 0.0]]) + 0j, None),
+    ([[0, 0.5], [0.5]], None),
 ], ids=["non-square", "asymmetric", "negative", "diagonal", "empty", "mu-length", "strings",
-        "complex"])
+        "complex", "ragged"])
 def test_metric_graphon_rejects_malformed_input(dist, mu):
     with pytest.raises(gl.InvalidInputError):
         metric_graphon(dist, mu)
